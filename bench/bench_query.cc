@@ -50,6 +50,25 @@ void BM_QueryAuthorFuzzy(benchmark::State& state) {
 }
 BENCHMARK(BM_QueryAuthorFuzzy)->Unit(benchmark::kMicrosecond);
 
+// Shapes clients send with a small page: the executor should do work
+// proportional to the matches and the page, not the catalog.
+void BM_QueryAuthorPrefixLimit10(benchmark::State& state) {
+  RunQuery(state, "author:mc* limit:10");
+}
+BENCHMARK(BM_QueryAuthorPrefixLimit10)->Unit(benchmark::kMicrosecond);
+
+void BM_QueryAuthorPrefixTitle(benchmark::State& state) {
+  RunQuery(state, "author:mc* coal limit:10");
+}
+BENCHMARK(BM_QueryAuthorPrefixTitle)->Unit(benchmark::kMicrosecond);
+
+// Relevance with a year filter falls off the pruned top-k plan.
+void BM_QueryRelevanceFiltered(benchmark::State& state) {
+  RunQuery(state,
+           "coal mining year:1975..1985 order:relevance limit:10");
+}
+BENCHMARK(BM_QueryRelevanceFiltered)->Unit(benchmark::kMicrosecond);
+
 void BM_QuerySingleTerm(benchmark::State& state) {
   RunQuery(state, "coal limit:1000");
 }

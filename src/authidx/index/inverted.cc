@@ -17,7 +17,11 @@ bool InvertedIndex::AddDocument(EntryId doc,
     ++freqs[token];
   }
   for (const auto& [token, freq] : freqs) {
-    TermEntry& entry = terms_[std::string(token)];
+    auto it = terms_.find(token);
+    if (it == terms_.end()) {
+      it = terms_.emplace(std::string(token), TermEntry{}).first;
+    }
+    TermEntry& entry = it->second;
     uint32_t gap = entry.doc_freq == 0 ? doc : doc - entry.last_doc;
     if (entry.doc_freq > 0 && gap == 0) {
       continue;  // Same doc re-added for this term; keep first freq.
@@ -51,7 +55,7 @@ bool InvertedIndex::AddDocument(EntryId doc,
 }
 
 std::vector<Posting> InvertedIndex::GetPostings(std::string_view term) const {
-  auto it = terms_.find(std::string(term));
+  auto it = terms_.find(term);
   if (it == terms_.end()) {
     return {};
   }
@@ -92,7 +96,7 @@ std::vector<EntryId> InvertedIndex::GetDocs(std::string_view term) const {
 }
 
 size_t InvertedIndex::DocFreq(std::string_view term) const {
-  auto it = terms_.find(std::string(term));
+  auto it = terms_.find(term);
   return it == terms_.end() ? 0 : it->second.doc_freq;
 }
 
@@ -110,7 +114,7 @@ size_t InvertedIndex::CompressedBytes() const {
 }
 
 InvertedIndex::Cursor InvertedIndex::OpenCursor(std::string_view term) const {
-  auto it = terms_.find(std::string(term));
+  auto it = terms_.find(term);
   if (it == terms_.end()) {
     return Cursor();
   }

@@ -2,6 +2,7 @@
 #define AUTHIDX_INDEX_INVERTED_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -179,7 +180,16 @@ class InvertedIndex {
   Cursor OpenCursor(std::string_view term) const;
 
  private:
-  std::unordered_map<std::string, TermEntry> terms_;
+  // Transparent hash and equality: lookups by string_view never build a
+  // std::string.
+  struct TermHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view term) const {
+      return std::hash<std::string_view>{}(term);
+    }
+  };
+  std::unordered_map<std::string, TermEntry, TermHash, std::equal_to<>>
+      terms_;
   std::unordered_map<EntryId, uint32_t> doc_lengths_;
   size_t doc_count_ = 0;
   uint64_t total_tokens_ = 0;

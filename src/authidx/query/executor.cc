@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <limits>
+#include <string_view>
+#include <tuple>
 
-#include "authidx/index/postings.h"
 #include "authidx/index/ranker.h"
 #include "authidx/text/normalize.h"
 
@@ -11,8 +12,11 @@ namespace authidx::query {
 namespace {
 
 // Candidate generation for the chosen access path. Returns sorted ids.
-Result<std::vector<EntryId>> Candidates(const Query& query, const Plan& plan,
-                                        const CatalogView& catalog) {
+// `terms` are the title terms rarest first; kTitleTerms seeds from the
+// rarest and Execute intersects the rest.
+Result<std::vector<EntryId>> Candidates(
+    const Query& query, const Plan& plan, const CatalogView& catalog,
+    const std::vector<std::string_view>& terms) {
   switch (plan.kind) {
     case PlanKind::kAuthorExact:
       return catalog.AuthorExact(*query.author_exact);
@@ -22,20 +26,8 @@ Result<std::vector<EntryId>> Candidates(const Query& query, const Plan& plan,
     case PlanKind::kAuthorFuzzy:
       return catalog.AuthorFuzzy(*query.author_fuzzy,
                                  query.fuzzy_max_edits);
-    case PlanKind::kTitleTerms: {
-      // Conjunction, rarest term first to keep intermediates small.
-      std::vector<std::string> terms = query.title_terms;
-      const InvertedIndex& index = catalog.title_index();
-      std::sort(terms.begin(), terms.end(),
-                [&](const std::string& a, const std::string& b) {
-                  return index.DocFreq(a) < index.DocFreq(b);
-                });
-      std::vector<EntryId> acc = index.GetDocs(terms.front());
-      for (size_t i = 1; i < terms.size() && !acc.empty(); ++i) {
-        acc = Intersect(acc, index.GetDocs(terms[i]));
-      }
-      return acc;
-    }
+    case PlanKind::kTitleTerms:
+      return catalog.title_index().GetDocs(terms.front());
     case PlanKind::kFullScan: {
       std::vector<EntryId> all(catalog.entry_count());
       for (size_t i = 0; i < all.size(); ++i) {
@@ -51,46 +43,91 @@ Result<std::vector<EntryId>> Candidates(const Query& query, const Plan& plan,
   return Status::Internal("unreachable plan kind");
 }
 
-// True if `id` passes every residual predicate.
-bool PassesFilters(const Query& query, const Plan& plan,
-                   const CatalogView& catalog, EntryId id) {
-  const Entry* entry = catalog.GetEntry(id);
-  if (entry == nullptr) {
+// Walks `term`'s postings against the sorted `ids`, calling
+// visit(i, freq) for each ids[i] the term contains, in ascending order.
+// A skip-aware cursor decodes only the blocks that can hold one of
+// `ids`. No postings list is materialized: with a list-sized buffer
+// per dense probe, the server's ingest after a read-heavy window was
+// measurably slower (docs/BENCHMARKS.md).
+template <typename Visit>
+void ProbeTerm(const InvertedIndex& index, std::string_view term,
+               const std::vector<EntryId>& ids, Visit visit) {
+  InvertedIndex::Cursor cursor = index.OpenCursor(term);
+  if (cursor.empty()) {
+    return;
+  }
+  for (size_t i = 0; i < ids.size() && cursor.ShallowSeek(ids[i]); ++i) {
+    cursor.Seek(ids[i]);
+    if (cursor.doc() == ids[i]) {
+      visit(i, cursor.freq());
+    }
+  }
+}
+
+// The ids of sorted `ids` that contain `term` (keep_present) or lack it.
+std::vector<EntryId> FilterByTerm(const InvertedIndex& index,
+                                  std::string_view term,
+                                  const std::vector<EntryId>& ids,
+                                  bool keep_present) {
+  std::vector<bool> present(ids.size());
+  ProbeTerm(index, term, ids, [&](size_t i, uint32_t) { present[i] = true; });
+  std::vector<EntryId> kept;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    if (present[i] == keep_present) {
+      kept.push_back(ids[i]);
+    }
+  }
+  return kept;
+}
+
+// True if `entry` passes every per-entry predicate. Title terms are not
+// checked here: Execute applies them once per term in `candidates`.
+bool PassesFilters(const Query& query, const Entry& entry) {
+  if (query.year && !query.year->Contains(entry.citation.year)) {
     return false;
   }
-  if (query.year && !query.year->Contains(entry->citation.year)) {
+  if (query.volume && !query.volume->Contains(entry.citation.volume)) {
     return false;
   }
-  if (query.volume && !query.volume->Contains(entry->citation.volume)) {
-    return false;
-  }
-  if (query.student && entry->author.student_material != *query.student) {
+  if (query.student && entry.author.student_material != *query.student) {
     return false;
   }
   if (query.coauthor) {
-    bool found = false;
-    for (const std::string& coauthor : entry->coauthors) {
+    for (const std::string& coauthor : entry.coauthors) {
       std::string folded = text::NormalizeForIndex(coauthor);
       if (folded.find(*query.coauthor) != std::string::npos) {
-        found = true;
-        break;
+        return true;
       }
     }
-    if (!found) {
-      return false;
-    }
-  }
-  // Title terms are residual when the author path was primary.
-  if (!query.title_terms.empty() && plan.kind != PlanKind::kTitleTerms) {
-    const InvertedIndex& index = catalog.title_index();
-    for (const std::string& term : query.title_terms) {
-      std::vector<EntryId> docs = index.GetDocs(term);
-      if (!std::binary_search(docs.begin(), docs.end(), id)) {
-        return false;
-      }
-    }
+    return false;
   }
   return true;
+}
+
+// The sorted `matches` as hits scored with BM25 over the title terms.
+// Folds the terms left to right in query order through the shared
+// Bm25Idf and Bm25Contribution, exactly as RankBm25 does, so the score
+// bits agree.
+std::vector<Hit> ScoreMatches(const InvertedIndex& index,
+                              const std::vector<std::string>& terms,
+                              const std::vector<EntryId>& matches) {
+  std::vector<Hit> hits(matches.size());
+  for (size_t i = 0; i < matches.size(); ++i) {
+    hits[i].id = matches[i];
+  }
+  const double n = static_cast<double>(index.doc_count());
+  const double avg_len =
+      static_cast<double>(index.total_tokens()) / std::max(1.0, n);
+  for (const std::string& term : terms) {
+    const double idf = Bm25Idf(n, static_cast<double>(index.DocFreq(term)));
+    ProbeTerm(index, term, matches, [&](size_t i, uint32_t freq) {
+      hits[i].score += Bm25Contribution(
+          idf, static_cast<double>(freq),
+          static_cast<double>(index.DocLength(matches[i])), avg_len,
+          Bm25Params{});
+    });
+  }
+  return hits;
 }
 
 }  // namespace
@@ -130,6 +167,12 @@ Result<QueryResult> Execute(const Query& query, const CatalogView& catalog,
     chosen->Inc();
   }
 
+  // Hits the page needs in order; saturates so a huge limit means "all".
+  constexpr size_t kMaxSize = std::numeric_limits<size_t>::max();
+  size_t need = query.limit > kMaxSize - query.offset
+                    ? kMaxSize
+                    : query.offset + query.limit;
+
   QueryResult result;
   result.plan = plan.kind;
   if (plan.provably_empty) {
@@ -143,7 +186,6 @@ Result<QueryResult> Execute(const Query& query, const CatalogView& catalog,
     // bit-identical to the exhaustive kTitleTerms + relevance path.
     obs::TraceSpan span(hooks->trace, hooks->stage_order_ns, "topk_prune");
     TopKStats tstats;
-    const size_t need = query.offset + query.limit;
     std::vector<ScoredDoc> top = RankBm25TopKConjunctive(
         catalog.title_index(), query.title_terms, need, Bm25Params{},
         &tstats);
@@ -165,18 +207,29 @@ Result<QueryResult> Execute(const Query& query, const CatalogView& catalog,
     return result;
   }
 
-  // Candidates, minus exclusions, through residual filters.
+  // Candidates: the access path, then each title term it did not apply
+  // (rarest first), then each exclusion — one postings walk per term.
   std::vector<EntryId> candidates;
   {
     obs::TraceSpan span(hooks->trace, hooks->stage_candidates_ns,
                         "candidates");
-    AUTHIDX_ASSIGN_OR_RETURN(candidates, Candidates(query, plan, catalog));
-    if (!query.not_terms.empty()) {
-      std::vector<EntryId> excluded;
-      for (const std::string& term : query.not_terms) {
-        excluded = Union(excluded, catalog.title_index().GetDocs(term));
-      }
-      candidates = Difference(candidates, excluded);
+    const InvertedIndex& index = catalog.title_index();
+    std::vector<std::string_view> terms(query.title_terms.begin(),
+                                        query.title_terms.end());
+    std::sort(terms.begin(), terms.end(),
+              [&](std::string_view a, std::string_view b) {
+                return index.DocFreq(a) < index.DocFreq(b);
+              });
+    AUTHIDX_ASSIGN_OR_RETURN(candidates,
+                             Candidates(query, plan, catalog, terms));
+    for (size_t i = plan.kind == PlanKind::kTitleTerms ? 1 : 0;
+         i < terms.size() && !candidates.empty(); ++i) {
+      candidates = FilterByTerm(index, terms[i], candidates,
+                                /*keep_present=*/true);
+    }
+    for (const std::string& term : query.not_terms) {
+      candidates = FilterByTerm(index, term, candidates,
+                                /*keep_present=*/false);
     }
   }
   std::vector<EntryId> matches;
@@ -184,65 +237,60 @@ Result<QueryResult> Execute(const Query& query, const CatalogView& catalog,
     obs::TraceSpan span(hooks->trace, hooks->stage_filter_ns, "filter");
     matches.reserve(candidates.size());
     for (EntryId id : candidates) {
-      if (PassesFilters(query, plan, catalog, id)) {
+      const Entry* entry = catalog.GetEntry(id);
+      if (entry != nullptr && PassesFilters(query, *entry)) {
         matches.push_back(id);
       }
     }
   }
   result.total_matches = matches.size();
 
-  // Order.
+  // Order: only the first `need` hits are put in order, then paginated.
   obs::TraceSpan order_span(hooks->trace, hooks->stage_order_ns, "order");
-  std::vector<Hit> ordered;
-  ordered.reserve(matches.size());
-  if (query.rank == RankMode::kRelevance && !query.title_terms.empty()) {
-    // Score the matched set with BM25; matches absent from the ranked
-    // list (possible only with empty term lists) keep score 0.
-    std::vector<ScoredDoc> ranked = RankBm25(
-        catalog.title_index(), query.title_terms, catalog.entry_count());
-    std::vector<double> score_of(catalog.entry_count(), 0.0);
-    for (const ScoredDoc& sd : ranked) {
-      if (sd.doc < score_of.size()) {
-        score_of[sd.doc] = sd.score;
-      }
-    }
-    for (EntryId id : matches) {
-      ordered.push_back(Hit{id, id < score_of.size() ? score_of[id] : 0.0});
-    }
-    std::sort(ordered.begin(), ordered.end(), [](const Hit& a, const Hit& b) {
-      if (a.score != b.score) {
-        return a.score > b.score;
-      }
-      return a.id < b.id;
-    });
-  } else {
-    for (EntryId id : matches) {
-      ordered.push_back(Hit{id, 0.0});
-    }
-    std::sort(ordered.begin(), ordered.end(),
-              [&](const Hit& a, const Hit& b) {
-                std::string_view ka = catalog.SortKey(a.id);
-                std::string_view kb = catalog.SortKey(b.id);
-                if (ka != kb) {
-                  return ka < kb;
-                }
-                const Entry* ea = catalog.GetEntry(a.id);
-                const Entry* eb = catalog.GetEntry(b.id);
-                if (ea->citation.volume != eb->citation.volume) {
-                  return ea->citation.volume < eb->citation.volume;
-                }
-                if (ea->citation.page != eb->citation.page) {
-                  return ea->citation.page < eb->citation.page;
-                }
-                return a.id < b.id;
-              });
+  need = std::min(need, matches.size());
+  const size_t begin = std::min(query.offset, need);
+  if (begin == need) {
+    return result;
   }
-
-  // Paginate.
-  size_t begin = std::min(query.offset, ordered.size());
-  size_t end = std::min(begin + query.limit, ordered.size());
-  result.hits.assign(ordered.begin() + static_cast<ptrdiff_t>(begin),
-                     ordered.begin() + static_cast<ptrdiff_t>(end));
+  if (query.rank == RankMode::kRelevance && !query.title_terms.empty()) {
+    std::vector<Hit> ranked =
+        ScoreMatches(catalog.title_index(), query.title_terms, matches);
+    std::partial_sort(ranked.begin(),
+                      ranked.begin() + static_cast<ptrdiff_t>(need),
+                      ranked.end(), [](const Hit& a, const Hit& b) {
+                        if (a.score != b.score) {
+                          return a.score > b.score;
+                        }
+                        return a.id < b.id;
+                      });
+    result.hits.assign(ranked.begin() + static_cast<ptrdiff_t>(begin),
+                       ranked.begin() + static_cast<ptrdiff_t>(need));
+    return result;
+  }
+  // Printed order: author collation key, volume, page, then id. One row
+  // per match so the comparator makes no virtual calls.
+  struct Row {
+    std::string_view key;
+    uint32_t volume;
+    uint32_t page;
+    EntryId id;
+  };
+  std::vector<Row> rows;
+  rows.reserve(matches.size());
+  for (EntryId id : matches) {
+    const Citation& citation = catalog.GetEntry(id)->citation;
+    rows.push_back(
+        Row{catalog.SortKey(id), citation.volume, citation.page, id});
+  }
+  std::partial_sort(rows.begin(), rows.begin() + static_cast<ptrdiff_t>(need),
+                    rows.end(), [](const Row& a, const Row& b) {
+                      return std::tie(a.key, a.volume, a.page, a.id) <
+                             std::tie(b.key, b.volume, b.page, b.id);
+                    });
+  result.hits.reserve(need - begin);
+  for (size_t i = begin; i < need; ++i) {
+    result.hits.push_back(Hit{rows[i].id, 0.0});
+  }
   return result;
 }
 

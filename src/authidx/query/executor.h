@@ -73,8 +73,8 @@ struct QueryResult {
   /// The access path the planner chose (exposed for tests/benchmarks).
   PlanKind plan = PlanKind::kFullScan;
   /// Postings decoded / provably skipped by the pruned top-k path
-  /// (both 0 on every other path, where decoding is exhaustive and
-  /// already counted by authidx_inverted_postings_decoded_total).
+  /// (both 0 on every other path, whose decoding is counted only by
+  /// authidx_inverted_postings_decoded_total).
   uint64_t postings_decoded = 0;
   uint64_t postings_skipped = 0;
 };

@@ -5,6 +5,7 @@
 #include "authidx/core/author_index.h"
 #include "authidx/parse/tsv.h"
 #include "authidx/query/parser.h"
+#include "authidx/workload/corpus.h"
 
 namespace authidx {
 namespace {
@@ -255,6 +256,56 @@ TEST(ExecutorTest, PaginationOffsetLimit) {
   ASSERT_TRUE(past.ok());
   EXPECT_TRUE(past->hits.empty());
   EXPECT_EQ(past->total_matches, 10u);
+}
+
+TEST(ExecutorTest, HugeLimitSaturatesInsteadOfOverflowing) {
+  auto catalog = BuildCatalog();
+  // offset + limit wraps past SIZE_MAX; the page must still be
+  // "everything after the offset" on every ordering path.
+  auto result =
+      catalog->Search("author:mc* offset:1 limit:18446744073709551615");
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->total_matches, 4u);
+  EXPECT_EQ(Surnames(*catalog, *result),
+            (std::vector<std::string>{"McGinley", "McGinley", "McGraw"}));
+
+  result = catalog->Search(
+      "west virginia year:1900.. order:relevance offset:2 "
+      "limit:18446744073709551615");
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->plan, query::PlanKind::kTitleTerms);
+  EXPECT_EQ(result->total_matches, 3u);
+  EXPECT_EQ(result->hits.size(), 1u);
+
+  result = catalog->Search(
+      "offset:18446744073709551615 limit:18446744073709551615");
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->total_matches, 10u);
+  EXPECT_TRUE(result->hits.empty());
+}
+
+TEST(ExecutorTest, ResidualTitleTermIsDecodedOncePerQuery) {
+  workload::CorpusOptions options;
+  options.entries = 20000;
+  options.authors = 2000;
+  auto catalog = core::AuthorIndex::Create();
+  ASSERT_TRUE(catalog->AddAll(workload::GenerateCorpus(options)).ok());
+  obs::Counter* decoded = catalog->mutable_metrics()->RegisterCounter(
+      "authidx_inverted_postings_decoded_total", "");
+
+  auto prefix_only = catalog->Search("author:mc* limit:10");
+  ASSERT_TRUE(prefix_only.ok());
+  ASSERT_GT(prefix_only->total_matches, 100u);  // Many candidates.
+  const size_t doc_freq = catalog->title_index().DocFreq("coal");
+  ASSERT_GT(doc_freq, 0u);
+
+  const uint64_t before = decoded->Value();
+  auto result = catalog->Search("author:mc* coal limit:10");
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->plan, query::PlanKind::kAuthorPrefix);
+  EXPECT_GT(result->total_matches, 0u);
+  // One walk of "coal" at most, however many candidates the prefix had.
+  EXPECT_LE(decoded->Value() - before, doc_freq);
 }
 
 TEST(ExecutorTest, EmptyCatalog) {

@@ -127,6 +127,26 @@ TEST(NetServerTest, BadQueryAndBadTsvSurfaceEngineStatusCodes) {
   EXPECT_TRUE(client.Ping().ok());
 }
 
+// offset + limit past SIZE_MAX once overflowed in the executor and
+// threw from the worker, taking the whole process down.
+TEST(NetServerTest, HugeLimitQueryIsAnsweredAndServingContinues) {
+  TestServer fixture;
+  Client client = fixture.MakeClient();
+  ASSERT_TRUE(client.Add({kMinowTsv, kArceneauxTsv}).ok());
+
+  Result<WireQueryResult> result =
+      client.Query("author:a* offset:1 limit:18446744073709551615");
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->total_matches, 1u);
+  EXPECT_TRUE(result->hits.empty());
+
+  result = client.Query("author:minow limit:18446744073709551615");
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_EQ(result->hits.size(), 1u);
+  EXPECT_EQ(result->hits[0].author, "Minow, Martha");
+  EXPECT_TRUE(client.Ping().ok());
+}
+
 TEST(NetServerTest, PipelinedRequestsAllAnsweredAndMatchedById) {
   TestServer fixture;
   ASSERT_TRUE(fixture.catalog
