@@ -9,7 +9,7 @@
 
 namespace authidx {
 
-/// Bump allocator for node-heavy data structures (skiplist memtable, trie).
+/// Bump allocator for node-heavy data structures (skiplist memtable).
 /// Allocations live until the arena is destroyed; there is no per-object
 /// free. Not thread-safe.
 class Arena {

@@ -1,7 +1,9 @@
 #include "authidx/core/author_index.h"
 
 #include <algorithm>
+#include <numeric>
 #include <optional>
+#include <tuple>
 
 #include "authidx/common/coding.h"
 #include "authidx/model/serde.h"
@@ -22,19 +24,6 @@ std::string EntryKey(EntryId id) {
   key[2] = static_cast<char>((id >> 16) & 0xFF);
   key[3] = static_cast<char>((id >> 8) & 0xFF);
   key[4] = static_cast<char>(id & 0xFF);
-  return key;
-}
-
-// B+-tree key: collation sort key + 0x00 + big-endian id. The 0x00
-// separator never occurs in sort keys (their minimum byte is 0x01), so
-// composed keys order first by collation then by ingest order.
-std::string OrderKey(std::string_view sort_key, EntryId id) {
-  std::string key(sort_key);
-  key.push_back('\0');
-  key.push_back(static_cast<char>(id >> 24));
-  key.push_back(static_cast<char>((id >> 16) & 0xFF));
-  key.push_back(static_cast<char>((id >> 8) & 0xFF));
-  key.push_back(static_cast<char>(id & 0xFF));
   return key;
 }
 
@@ -96,19 +85,10 @@ AuthorIndex::AuthorIndex()
   exec_obs_.topk_pruned_queries = metrics_->RegisterCounter(
       "authidx_topk_pruned_queries_total",
       "Queries where top-k pruning skipped at least one candidate range");
-  // Index-layer instruments, recorded into by the structures themselves.
-  author_trie_.BindMetrics(
-      metrics_->RegisterGauge("authidx_trie_nodes",
-                              "Author trie nodes currently allocated"),
-      metrics_->RegisterLatencyHistogram(
-          "authidx_trie_prefix_scan_duration_ns",
-          "Latency of one trie prefix scan, ns"));
+  // Index-layer instrument, recorded into by the index itself.
   inverted_.BindMetrics(metrics_->RegisterCounter(
       "authidx_inverted_postings_decoded_total",
       "Postings decoded by title-index lookups"));
-  author_order_.BindMetrics(metrics_->RegisterCounter(
-      "authidx_btree_page_reads_total",
-      "B+-tree nodes visited during root-to-leaf descents"));
 }
 
 std::unique_ptr<AuthorIndex> AuthorIndex::Create() {
@@ -232,30 +212,23 @@ Status AuthorIndex::ApplyReplicatedRecord(std::string_view record) {
 EntryId AuthorIndex::IndexEntry(Entry entry) {
   EntryId id = static_cast<EntryId>(entries_.size());
 
-  // Collation order index.
   std::string group_key = entry.author.GroupKey();
   std::string sort_key = text::MakeSortKey(group_key);
-  author_order_.Insert(OrderKey(sort_key, id), id);
 
-  // Author groups (exact, prefix, surname, phonetic surfaces).
-  std::string folded = text::NormalizeForIndex(group_key);
-  auto found = group_by_folded_.find(folded);
-  size_t group_idx;
-  if (found == group_by_folded_.end()) {
-    group_idx = groups_.size();
+  // Author groups (exact, prefix, surname, phonetic surfaces, printed
+  // order).
+  auto [found, inserted] = group_by_folded_.try_emplace(
+      text::NormalizeForIndex(group_key), groups_.size());
+  const size_t group_idx = found->second;
+  if (inserted) {
     GroupRecord group;
-    group.folded = folded;
     group.display = group_key;
+    group.sort_key = sort_key;
     group.folded_surname = text::NormalizeForIndex(entry.author.surname);
-    groups_.push_back(std::move(group));
-    group_by_folded_.emplace(folded, group_idx);
-    groups_by_surname_[groups_[group_idx].folded_surname].push_back(
-        group_idx);
+    groups_by_surname_[group.folded_surname].push_back(group_idx);
     groups_by_phonetic_[text::Metaphone(entry.author.surname)].push_back(
         group_idx);
-    author_trie_.Insert(folded, group_idx);
-  } else {
-    group_idx = found->second;
+    groups_.push_back(std::move(group));
   }
   groups_[group_idx].entries.push_back(id);
 
@@ -428,10 +401,10 @@ class AuthorIndex::RawView final : public query::CatalogView {
     index_.index_mu_.AssertReaderHeld();
     return index_.AuthorExactUnlocked(folded_group);
   }
-  std::vector<EntryId> AuthorPrefix(std::string_view folded_prefix,
-                                    size_t max_groups) const override {
+  std::vector<EntryId> AuthorPrefix(
+      std::string_view folded_prefix) const override {
     index_.index_mu_.AssertReaderHeld();
-    return index_.AuthorPrefixUnlocked(folded_prefix, max_groups);
+    return index_.AuthorPrefixUnlocked(folded_prefix);
   }
   std::vector<EntryId> AuthorFuzzy(std::string_view folded_name,
                                    size_t max_edits) const override {
@@ -454,7 +427,7 @@ Result<query::QueryResult> AuthorIndex::RunTraced(const query::Query& q,
   if (result_cache_ == nullptr) {
     return RunUncached(q, trace);
   }
-  const std::string key = q.ToString();
+  const std::string key = ResultCache::KeyFor(q);
   // Epoch read BEFORE execution, epoch bumps happen inside exclusive
   // mutation sections: an ingest racing with this query can only make
   // the inserted entry immediately stale (a harmless extra miss), never
@@ -535,10 +508,10 @@ std::vector<EntryId> AuthorIndex::AuthorExact(
   return AuthorExactUnlocked(folded_group);
 }
 
-std::vector<EntryId> AuthorIndex::AuthorPrefix(std::string_view folded_prefix,
-                                               size_t max_groups) const {
+std::vector<EntryId> AuthorIndex::AuthorPrefix(
+    std::string_view folded_prefix) const {
   ReaderMutexLock lock(index_mu_);
-  return AuthorPrefixUnlocked(folded_prefix, max_groups);
+  return AuthorPrefixUnlocked(folded_prefix);
 }
 
 std::vector<EntryId> AuthorIndex::AuthorFuzzy(std::string_view folded_name,
@@ -559,7 +532,7 @@ const Entry* AuthorIndex::GetEntryUnlocked(EntryId id) const {
 std::vector<EntryId> AuthorIndex::AuthorExactUnlocked(
     std::string_view folded_group) const {
   std::vector<EntryId> out;
-  auto it = group_by_folded_.find(std::string(folded_group));
+  auto it = group_by_folded_.find(folded_group);
   if (it != group_by_folded_.end()) {
     out = groups_[it->second].entries;
   } else {
@@ -578,11 +551,12 @@ std::vector<EntryId> AuthorIndex::AuthorExactUnlocked(
 }
 
 std::vector<EntryId> AuthorIndex::AuthorPrefixUnlocked(
-    std::string_view folded_prefix, size_t max_groups) const {
+    std::string_view folded_prefix) const {
   std::vector<EntryId> out;
-  for (const auto& [key, group_idx] :
-       author_trie_.PrefixScan(folded_prefix, max_groups)) {
-    const auto& entries = groups_[group_idx].entries;
+  for (auto it = group_by_folded_.lower_bound(folded_prefix);
+       it != group_by_folded_.end() && it->first.starts_with(folded_prefix);
+       ++it) {
+    const auto& entries = groups_[it->second].entries;
     out.insert(out.end(), entries.begin(), entries.end());
   }
   std::sort(out.begin(), out.end());
@@ -609,12 +583,13 @@ std::vector<EntryId> AuthorIndex::AuthorFuzzyUnlocked(
     }
   }
   // Surnames at distance <= max_edits can still land in another bucket;
-  // catch the common first-letter-preserved cases via a cheap trie probe
-  // on the first character.
+  // catch the common first-letter-preserved cases by walking the groups
+  // whose key starts with the same first byte.
   if (!folded_name.empty()) {
-    for (const auto& [key, group_idx] :
-         author_trie_.PrefixScan(folded_name.substr(0, 1), 100000)) {
-      const GroupRecord& group = groups_[group_idx];
+    const std::string_view first = folded_name.substr(0, 1);
+    for (auto it = group_by_folded_.lower_bound(first);
+         it != group_by_folded_.end() && it->first.starts_with(first); ++it) {
+      const GroupRecord& group = groups_[it->second];
       if (text::Metaphone(group.folded_surname) == code) {
         continue;  // Already considered above.
       }
@@ -643,24 +618,19 @@ size_t AuthorIndex::group_count() const {
 
 std::vector<AuthorIndex::Group> AuthorIndex::GroupsInOrder() const {
   ReaderMutexLock lock(index_mu_);
-  // Walk the order B+-tree (collation order) and coalesce consecutive
-  // entries of the same group.
+  // Groups in collation order of their first-seen display form.
+  std::vector<size_t> order(groups_.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    index_mu_.AssertReaderHeld();
+    return std::tie(groups_[a].sort_key, a) < std::tie(groups_[b].sort_key, b);
+  });
   std::vector<Group> out;
-  std::string last_folded;
-  for (auto it = author_order_.Begin(); it.Valid(); it.Next()) {
-    EntryId id = static_cast<EntryId>(it.value());
-    const Entry& entry = entries_[id];
-    std::string folded = text::NormalizeForIndex(entry.author.GroupKey());
-    if (out.empty() || folded != last_folded) {
-      Group group;
-      group.display = entry.author.GroupKey();
-      out.push_back(std::move(group));
-      last_folded = std::move(folded);
-    }
-    out.back().entries.push_back(id);
-  }
-  // Within a group, order by (volume, page) as the printed index does.
-  for (Group& group : out) {
+  out.reserve(order.size());
+  for (size_t group_idx : order) {
+    const GroupRecord& record = groups_[group_idx];
+    Group& group = out.emplace_back(Group{record.display, record.entries});
+    // Within a group, order by (volume, page) as the printed index does.
     std::sort(group.entries.begin(), group.entries.end(),
               [&](EntryId a, EntryId b) {
                 // Lambda bodies are analyzed standalone; re-state the
@@ -680,7 +650,7 @@ std::vector<std::string> AuthorIndex::CoauthorsOf(
     std::string_view folded_group) const {
   ReaderMutexLock lock(index_mu_);
   std::vector<std::string> out;
-  auto it = group_by_folded_.find(std::string(folded_group));
+  auto it = group_by_folded_.find(folded_group);
   if (it == group_by_folded_.end()) {
     return out;
   }

@@ -3,6 +3,8 @@
 
 #include <atomic>
 #include <deque>
+#include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -12,13 +14,11 @@
 #include "authidx/common/mutex.h"
 #include "authidx/common/result.h"
 #include "authidx/common/thread_annotations.h"
-#include "authidx/index/btree.h"
 #include "authidx/obs/log.h"
 #include "authidx/obs/metrics.h"
 #include "authidx/obs/slowlog.h"
 #include "authidx/obs/trace.h"
 #include "authidx/index/inverted.h"
-#include "authidx/index/trie.h"
 #include "authidx/core/result_cache.h"
 #include "authidx/model/record.h"
 #include "authidx/query/executor.h"
@@ -175,8 +175,8 @@ class AuthorIndex final : public query::CatalogView {
   const InvertedIndex& title_index() const override { return inverted_; }
   std::vector<EntryId> AuthorExact(
       std::string_view folded_group) const override;
-  std::vector<EntryId> AuthorPrefix(std::string_view folded_prefix,
-                                    size_t max_groups) const override;
+  std::vector<EntryId> AuthorPrefix(
+      std::string_view folded_prefix) const override;
   std::vector<EntryId> AuthorFuzzy(std::string_view folded_name,
                                    size_t max_edits) const override;
   std::string_view SortKey(EntryId id) const override;
@@ -238,8 +238,8 @@ class AuthorIndex final : public query::CatalogView {
 
  private:
   struct GroupRecord {
-    std::string folded;         // Normalized group key (lookup key).
     std::string display;        // As first ingested.
+    std::string sort_key;       // MakeSortKey(display): printed order.
     std::string folded_surname; // For fuzzy matching.
     std::vector<EntryId> entries;
   };
@@ -275,16 +275,15 @@ class AuthorIndex final : public query::CatalogView {
       AUTHIDX_REQUIRES_SHARED(index_mu_);
   std::vector<EntryId> AuthorExactUnlocked(std::string_view folded_group)
       const AUTHIDX_REQUIRES_SHARED(index_mu_);
-  std::vector<EntryId> AuthorPrefixUnlocked(std::string_view folded_prefix,
-                                            size_t max_groups) const
-      AUTHIDX_REQUIRES_SHARED(index_mu_);
+  std::vector<EntryId> AuthorPrefixUnlocked(std::string_view folded_prefix)
+      const AUTHIDX_REQUIRES_SHARED(index_mu_);
   std::vector<EntryId> AuthorFuzzyUnlocked(std::string_view folded_name,
                                            size_t max_edits) const
       AUTHIDX_REQUIRES_SHARED(index_mu_);
   std::string_view SortKeyUnlocked(EntryId id) const
       AUTHIDX_REQUIRES_SHARED(index_mu_);
 
-  /// Guards the in-memory indexes (entries_, groups_, trie, B+-tree,
+  /// Guards the in-memory indexes (entries_, groups_, the group maps,
   /// inverted index). Exclusive for ingest, shared for query execution.
   /// The storage engine synchronizes itself; its Put/Apply happen inside
   /// the exclusive section so entry ids and durable keys stay aligned.
@@ -297,17 +296,15 @@ class AuthorIndex final : public query::CatalogView {
   std::deque<std::string> sort_keys_ AUTHIDX_GUARDED_BY(index_mu_);
 
   std::vector<GroupRecord> groups_ AUTHIDX_GUARDED_BY(index_mu_);
-  std::unordered_map<std::string, size_t> group_by_folded_
+  // Folded group key -> group index, in byte order: exact lookups and
+  // prefix walks (from lower_bound while the key starts with the prefix).
+  std::map<std::string, size_t, std::less<>> group_by_folded_
       AUTHIDX_GUARDED_BY(index_mu_);
   std::unordered_map<std::string, std::vector<size_t>> groups_by_surname_
       AUTHIDX_GUARDED_BY(index_mu_);
   std::unordered_map<std::string, std::vector<size_t>> groups_by_phonetic_
       AUTHIDX_GUARDED_BY(index_mu_);
 
-  // sortkey + id -> id (printed order).
-  BPlusTree author_order_ AUTHIDX_GUARDED_BY(index_mu_);
-  // Folded group key -> group index.
-  Trie author_trie_ AUTHIDX_GUARDED_BY(index_mu_);
   // Analyzed titles.
   InvertedIndex inverted_ AUTHIDX_GUARDED_BY(index_mu_);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "authidx/common/coding.h"
 #include "authidx/common/hash.h"
 
 namespace authidx::core {
@@ -10,6 +11,44 @@ namespace authidx::core {
 ResultCache::ResultCache(size_t capacity_bytes)
     : capacity_(capacity_bytes),
       shard_capacity_(std::max<size_t>(1, capacity_bytes / kShards)) {}
+
+std::string ResultCache::KeyFor(const query::Query& query) {
+  std::string key;
+  auto put_string = [&key](const std::optional<std::string>& value) {
+    key.push_back(value.has_value() ? '\1' : '\0');
+    if (value.has_value()) {
+      PutLengthPrefixed(&key, *value);
+    }
+  };
+  auto put_list = [&key](const std::vector<std::string>& values) {
+    PutVarint64(&key, values.size());
+    for (const std::string& value : values) {
+      PutLengthPrefixed(&key, value);
+    }
+  };
+  auto put_range = [&key](const std::optional<query::NumRange>& range) {
+    key.push_back(range.has_value() ? '\1' : '\0');
+    if (range.has_value()) {
+      PutVarint32(&key, range->lo);
+      PutVarint32(&key, range->hi);
+    }
+  };
+  put_string(query.author_exact);
+  put_string(query.author_prefix);
+  put_string(query.author_fuzzy);
+  put_list(query.title_terms);
+  put_list(query.not_terms);
+  put_string(query.coauthor);
+  put_range(query.year);
+  put_range(query.volume);
+  key.push_back(query.student.has_value() ? '\1' : '\0');
+  key.push_back(query.student.value_or(false) ? '\1' : '\0');
+  key.push_back(static_cast<char>(query.rank));
+  PutVarint64(&key, query.offset);
+  PutVarint64(&key, query.limit);
+  PutVarint64(&key, query.fuzzy_max_edits);
+  return key;
+}
 
 void ResultCache::BindMetrics(const Instruments& instruments) {
   instruments_ = instruments;

@@ -17,13 +17,13 @@
 namespace authidx::core {
 
 /// Sharded, byte-capacity-bounded LRU cache of whole query results,
-/// keyed by the canonical query rendering (query::Query::ToString(),
-/// which includes offset/limit) and stamped with the catalog's data
-/// epoch at insert time. A probe only hits when the stamped epoch still
-/// equals the catalog's current epoch — any ingest, flush, compaction,
-/// or replication apply bumps the epoch, so every cached result is
-/// invalidated wholesale and a stale hit is impossible by construction
-/// (stale entries are erased lazily on probe or via LRU pressure).
+/// keyed by KeyFor(query) (every field, offset/limit included) and
+/// stamped with the catalog's data epoch at insert time. A probe only
+/// hits when the stamped epoch still equals the catalog's current
+/// epoch — any ingest, flush, compaction, or replication apply bumps
+/// the epoch, so every cached result is invalidated wholesale and a
+/// stale hit is impossible by construction (stale entries are erased
+/// lazily on probe or via LRU pressure).
 ///
 /// Thread-safe: 8 shards, each behind its own mutex, keep the probe
 /// path short and uncontended next to query execution.
@@ -44,6 +44,12 @@ class ResultCache {
 
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
+
+  /// The cache key of `query`: a length-prefixed encoding of every
+  /// field, with a presence byte per optional, so distinct queries get
+  /// distinct keys. (Query::ToString() is a debug rendering and is not
+  /// injective: quoted values may contain what looks like other clauses.)
+  static std::string KeyFor(const query::Query& query);
 
   /// Binds metric instruments; call before the cache is shared.
   void BindMetrics(const Instruments& instruments);

@@ -66,8 +66,11 @@ struct Query {
            title_terms.empty();
   }
 
-  /// Debug rendering (stable, used in tests).
+  /// Debug rendering (stable; used in tests and the slow-query log).
+  /// Not injective, so never a key: core::ResultCache::KeyFor is.
   std::string ToString() const;
+
+  friend bool operator==(const Query&, const Query&) = default;
 };
 
 }  // namespace authidx::query

@@ -21,8 +21,7 @@ Result<std::vector<EntryId>> Candidates(
     case PlanKind::kAuthorExact:
       return catalog.AuthorExact(*query.author_exact);
     case PlanKind::kAuthorPrefix:
-      return catalog.AuthorPrefix(*query.author_prefix,
-                                  /*max_groups=*/100000);
+      return catalog.AuthorPrefix(*query.author_prefix);
     case PlanKind::kAuthorFuzzy:
       return catalog.AuthorFuzzy(*query.author_fuzzy,
                                  query.fuzzy_max_edits);

@@ -37,9 +37,9 @@ class CatalogView {
       std::string_view folded_group) const = 0;
 
   /// Entry ids of all author groups whose folded key starts with
-  /// `folded_prefix`, capped at `max_groups` groups. Sorted, deduped.
-  virtual std::vector<EntryId> AuthorPrefix(std::string_view folded_prefix,
-                                            size_t max_groups) const = 0;
+  /// `folded_prefix`. Sorted, deduped.
+  virtual std::vector<EntryId> AuthorPrefix(
+      std::string_view folded_prefix) const = 0;
 
   /// Entry ids of author groups whose surname is within `max_edits` of
   /// `folded_name` (candidates pre-filtered by phonetic bucket). Sorted.

@@ -45,7 +45,7 @@ Plan ChoosePlan(const Query& query, const PlannerStats& stats) {
   }
   if (query.author_prefix) {
     plan.kind = PlanKind::kAuthorPrefix;
-    // A prefix covers a subtree; assume a small slice of the corpus.
+    // A prefix covers a key range; assume a small slice of the corpus.
     plan.estimated_candidates = stats.entry_count / 64 + 4;
     return plan;
   }

@@ -10,8 +10,8 @@ namespace authidx::query {
 
 /// Primary access path for a query.
 enum class PlanKind {
-  kAuthorExact,   // Hash/trie lookup of one author group.
-  kAuthorPrefix,  // Trie subtree scan.
+  kAuthorExact,   // Ordered-map lookup of one author group.
+  kAuthorPrefix,  // Ordered-map walk over the groups with the prefix.
   kAuthorFuzzy,   // Phonetic bucket + edit distance.
   kTitleTerms,    // Postings intersection over the inverted index.
   kFullScan,      // Filter-only query: scan all entries.

@@ -21,8 +21,8 @@ namespace authidx::text {
 ///
 /// `MakeSortKey` produces a byte string such that memcmp order of the keys
 /// equals this collation order; it is the precomputed-key fast path the
-/// B+-tree and the typesetter use. `Compare` is the direct (allocation-
-/// light) comparison used for one-off comparisons.
+/// catalog's printed order and the title index use. `Compare` is the
+/// direct (allocation-light) comparison used for one-off comparisons.
 
 /// Builds a memcmp-comparable sort key for `s`.
 std::string MakeSortKey(std::string_view s);

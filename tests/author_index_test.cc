@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <utility>
+#include <vector>
 
 #include "authidx/text/collate.h"
 #include "authidx/workload/corpus.h"
@@ -63,6 +66,57 @@ TEST(AuthorIndexTest, GroupsInOrderMatchesPrintedIndex) {
                 std::make_pair(b.volume, b.page));
     }
   }
+}
+
+// Entries whose names fold to one key belong to one group, and the
+// printed index shows that group once, under its first-seen form. Sort
+// keys break ties on raw bytes, so ordering entries rather than groups
+// would put "SMITH, J." between the two spellings of "smith, j".
+TEST(AuthorIndexTest, GroupsInOrderKeepsFoldedVariantsTogether) {
+  auto catalog = AuthorIndex::Create();
+  Entry entry;
+  entry.title = "Title";
+  entry.citation = {80, 1, 1978};
+  for (const auto& [surname, given] :
+       {std::pair{"Smith", "J"}, {"SMITH", "J."}, {"SMITH", "J"}}) {
+    entry.author = {surname, given, "", false};
+    ASSERT_TRUE(catalog->Add(entry).ok());
+  }
+  ASSERT_EQ(catalog->group_count(), 2u);
+  auto groups = catalog->GroupsInOrder();
+  ASSERT_EQ(groups.size(), catalog->group_count());
+  auto smith = std::find_if(groups.begin(), groups.end(), [](const auto& g) {
+    return g.entries.size() == 2;
+  });
+  ASSERT_NE(smith, groups.end());
+  EXPECT_EQ(smith->display, "Smith, J");
+  EXPECT_EQ(smith->entries, (std::vector<EntryId>{0, 2}));
+}
+
+// Prefix lookups walk the folded group keys in byte order.
+TEST(AuthorIndexTest, AuthorPrefixWalksFoldedKeys) {
+  auto catalog = AuthorIndex::Create();
+  Entry entry;
+  entry.title = "Title";
+  entry.citation = {80, 1, 1978};
+  for (const char* surname : {"McGinley", "McGraw", "Means", "\u03a9mega",
+                              "\u03a8ara"}) {
+    entry.author = {surname, "A.", "", false};
+    ASSERT_TRUE(catalog->Add(entry).ok());
+  }
+  using Ids = std::vector<EntryId>;
+  EXPECT_EQ(catalog->AuthorPrefix("mc"), (Ids{0, 1}));
+  EXPECT_EQ(catalog->AuthorPrefix(""), (Ids{0, 1, 2, 3, 4}));
+  // A whole key is its own prefix; one byte more matches nothing.
+  EXPECT_EQ(catalog->AuthorPrefix("mcgraw, a."), (Ids{1}));
+  EXPECT_TRUE(catalog->AuthorPrefix("mcgraw, a.x").empty());
+  // Past the last key.
+  EXPECT_TRUE(catalog->AuthorPrefix("zz").empty());
+  EXPECT_TRUE(catalog->AuthorPrefix("\xcf").empty());
+  // Non-ASCII first byte: folding leaves Greek as is, and its UTF-8 lead
+  // byte 0xce sorts after every ASCII key.
+  EXPECT_EQ(catalog->AuthorPrefix("\xce"), (Ids{3, 4}));
+  EXPECT_EQ(catalog->AuthorPrefix("\u03a9"), (Ids{3}));
 }
 
 TEST(AuthorIndexTest, StudentNoteAndArticleGroupTogether) {

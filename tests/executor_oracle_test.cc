@@ -5,7 +5,9 @@
 // comparator. Ids, order, fixed64 score bits and total_matches must
 // agree. The generator covers every plan kind × NOT / coauthor / year /
 // volume / student × offset / limit (0, past the end, huge) ×
-// collation / relevance. AUTHIDX_FUZZ_ITERS scales the query count.
+// collation / relevance. Each query also runs twice through a
+// cache-armed catalog (a miss, then a hit), and both answers must equal
+// the uncached one. AUTHIDX_FUZZ_ITERS scales the query count.
 
 #include <gtest/gtest.h>
 
@@ -358,6 +360,9 @@ TEST(ExecutorOracleTest, RandomQueriesMatchNaiveEvaluator) {
     NaiveCatalog naive(entries);
     auto catalog = core::AuthorIndex::Create();
     ASSERT_TRUE(catalog->AddAll(entries).ok());
+    auto cached_catalog = core::AuthorIndex::Create();
+    cached_catalog->EnableResultCache(size_t{256} << 20);
+    ASSERT_TRUE(cached_catalog->AddAll(entries).ok());
 
     QueryGenerator gen(naive, seed * 31 + 7);
     const int per_corpus = iters / static_cast<int>(std::size(kSeeds)) + 1;
@@ -371,7 +376,18 @@ TEST(ExecutorOracleTest, RandomQueriesMatchNaiveEvaluator) {
       ++plans_seen[static_cast<size_t>(got->plan)];
       with_hits += got->hits.empty() ? 0 : 1;
       ASSERT_TRUE(ExpectSameAnswer(*got, naive.Evaluate(q), label));
+      for (const char* pass : {" (cache miss)", " (cache hit)"}) {
+        Result<query::QueryResult> cached = cached_catalog->Run(q);
+        ASSERT_TRUE(cached.ok()) << label << pass << ": " << cached.status();
+        ASSERT_EQ(cached->total_matches, got->total_matches) << label << pass;
+        ASSERT_TRUE(ExpectSameAnswer(*cached, *got, label + pass));
+      }
     }
+    obs::MetricsSnapshot snapshot = cached_catalog->GetMetricsSnapshot();
+    const obs::MetricValue* cache_hits =
+        snapshot.Find("authidx_result_cache_hits_total");
+    ASSERT_NE(cache_hits, nullptr);
+    EXPECT_GE(cache_hits->counter, static_cast<uint64_t>(per_corpus));
   }
   for (size_t kind = 0; kind < query::kPlanKindCount; ++kind) {
     EXPECT_GT(plans_seen[kind], 0u)

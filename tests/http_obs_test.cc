@@ -398,7 +398,7 @@ TEST_F(ObservabilityEndpointsTest, MetricsEndpointServesPrometheusText) {
             std::string::npos);
   EXPECT_NE(response.body.find("authidx_queries_total 1"),
             std::string::npos);
-  EXPECT_NE(response.body.find("authidx_trie_nodes"), std::string::npos);
+  EXPECT_NE(response.body.find("authidx_inverted_postings_decoded_total"), std::string::npos);
 }
 
 TEST_F(ObservabilityEndpointsTest, HealthzReflectsLoggerErrors) {

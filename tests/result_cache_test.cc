@@ -1,15 +1,22 @@
 // The epoch-invalidated query result cache: LRU/eviction unit behavior,
 // and the AuthorIndex integration — every mutation path (Add, AddAll,
 // Flush, Compact) must bump the data epoch so a cached result is never
-// served stale, and the trace tree must show the probe outcome.
+// served stale, and the trace tree must show the probe outcome. KeyFor
+// must give distinct queries distinct keys.
 
 #include "authidx/core/result_cache.h"
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
+#include <optional>
+#include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "authidx/common/random.h"
 #include "authidx/core/author_index.h"
 #include "authidx/obs/trace.h"
 #include "authidx/query/parser.h"
@@ -98,6 +105,81 @@ TEST(ResultCacheTest, InstrumentsCount) {
   EXPECT_EQ(instruments.bytes->Value(), 0);  // Invalidation reclaimed it.
 }
 
+// --- Cache keys ----------------------------------------------------------
+
+// Query texts whose debug renderings (Query::ToString) are equal: a
+// quoted value can spell out what reads as another clause.
+constexpr std::pair<const char*, const char*> kCollidingTexts[] = {
+    {"coauthor:\"smith year=1980..1990\"", "coauthor:smith year:1980..1990"},
+    {"author:\"smith student=yes\"", "author:smith student:yes"},
+};
+
+TEST(ResultCacheKeyTest, QuotedValuesDoNotCollide) {
+  for (const auto& [a, b] : kCollidingTexts) {
+    auto qa = query::ParseQuery(a);
+    auto qb = query::ParseQuery(b);
+    ASSERT_TRUE(qa.ok() && qb.ok()) << a << " / " << b;
+    EXPECT_EQ(qa->ToString(), qb->ToString());
+    EXPECT_NE(ResultCache::KeyFor(*qa), ResultCache::KeyFor(*qb)) << a;
+  }
+}
+
+// Random queries drawn from few values, many of them holding separators,
+// so field values often coincide or mimic other fields: two queries get
+// the same key only when every field is equal.
+TEST(ResultCacheKeyTest, DistinctQueriesGetDistinctKeys) {
+  const std::vector<std::string> values = {
+      "",  "smith", "smith year=1980..1990", "smith student=yes",
+      "a", "a,b",   "a b",                   std::string("a\0b", 3)};
+  Random rng(0x6b6579);
+  auto pick = [&] { return values[rng.Uniform(values.size())]; };
+  auto maybe_string = [&]() -> std::optional<std::string> {
+    if (rng.OneIn(2)) return std::nullopt;
+    return pick();
+  };
+  auto pick_list = [&] {
+    std::vector<std::string> list(rng.Uniform(3));
+    for (std::string& value : list) value = pick();
+    return list;
+  };
+  auto maybe_range = [&]() -> std::optional<query::NumRange> {
+    if (rng.OneIn(2)) return std::nullopt;
+    return query::NumRange{static_cast<uint32_t>(rng.Uniform(3)),
+                           static_cast<uint32_t>(rng.Uniform(3))};
+  };
+  std::map<std::string, query::Query> by_key;
+  std::map<std::string, std::set<std::string>> keys_by_rendering;
+  for (int i = 0; i < 20000; ++i) {
+    query::Query q;
+    q.author_exact = maybe_string();
+    q.author_prefix = maybe_string();
+    q.author_fuzzy = maybe_string();
+    q.title_terms = pick_list();
+    q.not_terms = pick_list();
+    q.coauthor = maybe_string();
+    q.year = maybe_range();
+    q.volume = maybe_range();
+    if (!rng.OneIn(3)) q.student = rng.OneIn(2);
+    q.rank = rng.OneIn(2) ? query::RankMode::kRelevance
+                          : query::RankMode::kCollation;
+    q.offset = rng.Uniform(2);
+    q.limit = rng.Uniform(2) * 100;
+    q.fuzzy_max_edits = rng.Uniform(2);
+    const std::string key = ResultCache::KeyFor(q);
+    auto [it, inserted] = by_key.emplace(key, q);
+    ASSERT_TRUE(inserted || it->second == q)
+        << q.ToString() << " and " << it->second.ToString() << " share a key";
+    keys_by_rendering[q.ToString()].insert(key);
+  }
+  EXPECT_GT(by_key.size(), 10000u);
+  // The generator does reach queries the debug rendering confuses.
+  size_t confused = 0;
+  for (const auto& [rendering, keys] : keys_by_rendering) {
+    confused += keys.size() > 1 ? 1 : 0;
+  }
+  EXPECT_GT(confused, 0u);
+}
+
 // --- AuthorIndex integration -------------------------------------------
 
 uint64_t CounterValue(const AuthorIndex& catalog, std::string_view name) {
@@ -156,6 +238,40 @@ TEST(AuthorIndexResultCacheTest, DistinctQueriesDistinctEntries) {
   EXPECT_EQ(CounterValue(*catalog, "authidx_result_cache_misses_total"), 2u);
   EXPECT_EQ(CounterValue(*catalog, "authidx_result_cache_hits_total"), 1u);
   EXPECT_EQ(catalog->result_cache()->entry_count(), 2u);
+}
+
+// Each query of a colliding pair is answered for itself, not with the
+// other's cached result.
+TEST(AuthorIndexResultCacheTest, CollidingRenderingsGetTheirOwnAnswers) {
+  std::vector<Entry> entries(2);
+  entries[0].author = {"Smith", "John", "", true};
+  entries[0].title = "Surface Mining";
+  entries[0].citation = {85, 1, 1985};
+  entries[1].author = {"Jones", "Ann", "", false};
+  entries[1].title = "Coal Leases";
+  entries[1].citation = {85, 90, 1985};
+  entries[1].coauthors = {"Smith, Bob"};
+  auto plain = AuthorIndex::Create();
+  ASSERT_TRUE(plain->AddAll(entries).ok());
+  auto cached = AuthorIndex::Create();
+  cached->EnableResultCache(1 << 20);
+  ASSERT_TRUE(cached->AddAll(entries).ok());
+
+  for (const auto& [a, b] : kCollidingTexts) {
+    auto want_a = plain->Search(a);
+    auto want_b = plain->Search(b);
+    ASSERT_TRUE(want_a.ok() && want_b.ok());
+    ASSERT_NE(want_a->total_matches, want_b->total_matches) << a;
+    for (const char* text : {a, b, a, b}) {  // Miss, miss, hit, hit.
+      auto want = plain->Search(text);
+      auto got = cached->Search(text);
+      ASSERT_TRUE(got.ok()) << got.status();
+      EXPECT_EQ(got->hits, want->hits) << text;
+      EXPECT_EQ(got->total_matches, want->total_matches) << text;
+    }
+  }
+  EXPECT_EQ(CounterValue(*cached, "authidx_result_cache_misses_total"), 4u);
+  EXPECT_EQ(CounterValue(*cached, "authidx_result_cache_hits_total"), 4u);
 }
 
 TEST(AuthorIndexResultCacheTest, CacheDisabledByDefault) {
