@@ -109,6 +109,12 @@ void BM_QueryNegation(benchmark::State& state) {
 }
 BENCHMARK(BM_QueryNegation);
 
+// read_mix's title_negation shape: every match is ordered for one page.
+void BM_QueryNegationLimit10(benchmark::State& state) {
+  RunQuery(state, "mining -safety limit:10");
+}
+BENCHMARK(BM_QueryNegationLimit10)->Unit(benchmark::kMicrosecond);
+
 void BM_QueryFilterOnlyFullScan(benchmark::State& state) {
   RunQuery(state, "year:1980..1982 limit:1000");
 }

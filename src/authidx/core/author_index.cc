@@ -225,6 +225,7 @@ EntryId AuthorIndex::IndexEntry(Entry entry) {
     group.display = group_key;
     group.sort_key = sort_key;
     group.folded_surname = text::NormalizeForIndex(entry.author.surname);
+    group.folded_code = text::Metaphone(group.folded_surname);
     groups_by_surname_[group.folded_surname].push_back(group_idx);
     groups_by_phonetic_[text::Metaphone(entry.author.surname)].push_back(
         group_idx);
@@ -235,7 +236,12 @@ EntryId AuthorIndex::IndexEntry(Entry entry) {
   // Title index.
   inverted_.AddDocument(id, text::Tokenize(entry.title));
 
-  sort_keys_.push_back(std::move(sort_key));
+  const std::string_view key = sort_keys_.CopyString(sort_key);
+  const Citation& citation = entry.citation;
+  rows_.push_back(query::EntryRow{text::SortKeyPrefix(key), key,
+                                  citation.volume, citation.page,
+                                  citation.year, id,
+                                  entry.author.student_material});
   entries_.push_back(std::move(entry));
   return id;
 }
@@ -411,9 +417,10 @@ class AuthorIndex::RawView final : public query::CatalogView {
     index_.index_mu_.AssertReaderHeld();
     return index_.AuthorFuzzyUnlocked(folded_name, max_edits);
   }
-  std::string_view SortKey(EntryId id) const override {
+  void FillRows(const std::vector<EntryId>& ids,
+                std::vector<query::EntryRow>* rows) const override {
     index_.index_mu_.AssertReaderHeld();
-    return index_.SortKeyUnlocked(id);
+    index_.FillRowsUnlocked(ids, rows);
   }
 
  private:
@@ -522,7 +529,13 @@ std::vector<EntryId> AuthorIndex::AuthorFuzzy(std::string_view folded_name,
 
 std::string_view AuthorIndex::SortKey(EntryId id) const {
   ReaderMutexLock lock(index_mu_);
-  return SortKeyUnlocked(id);
+  return id < rows_.size() ? rows_[id].sort_key : std::string_view();
+}
+
+void AuthorIndex::FillRows(const std::vector<EntryId>& ids,
+                           std::vector<query::EntryRow>* rows) const {
+  ReaderMutexLock lock(index_mu_);
+  FillRowsUnlocked(ids, rows);
 }
 
 const Entry* AuthorIndex::GetEntryUnlocked(EntryId id) const {
@@ -584,19 +597,26 @@ std::vector<EntryId> AuthorIndex::AuthorFuzzyUnlocked(
   }
   // Surnames at distance <= max_edits can still land in another bucket;
   // catch the common first-letter-preserved cases by walking the groups
-  // whose key starts with the same first byte.
+  // whose key starts with the same first byte. Groups of one surname sit
+  // next to each other in key order, so the distance is computed once
+  // per run of groups sharing a folded surname.
   if (!folded_name.empty()) {
     const std::string_view first = folded_name.substr(0, 1);
+    const std::string* run_surname = nullptr;
+    bool run_within = false;
     for (auto it = group_by_folded_.lower_bound(first);
          it != group_by_folded_.end() && it->first.starts_with(first); ++it) {
       const GroupRecord& group = groups_[it->second];
-      if (text::Metaphone(group.folded_surname) == code) {
+      if (group.folded_code == code) {
         continue;  // Already considered above.
       }
-      if (text::WithinEditDistance(group.folded_surname, folded_name,
-                                   max_edits)) {
-        const auto& entries = group.entries;
-        out.insert(out.end(), entries.begin(), entries.end());
+      if (run_surname == nullptr || *run_surname != group.folded_surname) {
+        run_surname = &group.folded_surname;
+        run_within = text::WithinEditDistance(group.folded_surname,
+                                              folded_name, max_edits);
+      }
+      if (run_within) {
+        out.insert(out.end(), group.entries.begin(), group.entries.end());
       }
     }
   }
@@ -605,10 +625,15 @@ std::vector<EntryId> AuthorIndex::AuthorFuzzyUnlocked(
   return out;
 }
 
-std::string_view AuthorIndex::SortKeyUnlocked(EntryId id) const {
-  static const std::string kEmpty;
-  return id < sort_keys_.size() ? std::string_view(sort_keys_[id])
-                                : std::string_view(kEmpty);
+void AuthorIndex::FillRowsUnlocked(const std::vector<EntryId>& ids,
+                                   std::vector<query::EntryRow>* rows) const {
+  rows->clear();
+  rows->reserve(ids.size());
+  for (EntryId id : ids) {
+    if (id < rows_.size()) {
+      rows->push_back(rows_[id]);
+    }
+  }
 }
 
 size_t AuthorIndex::group_count() const {

@@ -11,6 +11,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "authidx/common/arena.h"
 #include "authidx/common/mutex.h"
 #include "authidx/common/result.h"
 #include "authidx/common/thread_annotations.h"
@@ -179,7 +180,12 @@ class AuthorIndex final : public query::CatalogView {
       std::string_view folded_prefix) const override;
   std::vector<EntryId> AuthorFuzzy(std::string_view folded_name,
                                    size_t max_edits) const override;
-  std::string_view SortKey(EntryId id) const override;
+  void FillRows(const std::vector<EntryId>& ids,
+                std::vector<query::EntryRow>* rows) const override;
+
+  /// memcmp-ordered author collation key for the entry (printed
+  /// order); empty for unknown ids.
+  std::string_view SortKey(EntryId id) const;
 
   /// One author group (a distinct person) and their entries.
   struct Group {
@@ -241,6 +247,7 @@ class AuthorIndex final : public query::CatalogView {
     std::string display;        // As first ingested.
     std::string sort_key;       // MakeSortKey(display): printed order.
     std::string folded_surname; // For fuzzy matching.
+    std::string folded_code;    // Metaphone(folded_surname).
     std::vector<EntryId> entries;
   };
 
@@ -280,7 +287,8 @@ class AuthorIndex final : public query::CatalogView {
   std::vector<EntryId> AuthorFuzzyUnlocked(std::string_view folded_name,
                                            size_t max_edits) const
       AUTHIDX_REQUIRES_SHARED(index_mu_);
-  std::string_view SortKeyUnlocked(EntryId id) const
+  void FillRowsUnlocked(const std::vector<EntryId>& ids,
+                        std::vector<query::EntryRow>* rows) const
       AUTHIDX_REQUIRES_SHARED(index_mu_);
 
   /// Guards the in-memory indexes (entries_, groups_, the group maps,
@@ -290,10 +298,14 @@ class AuthorIndex final : public query::CatalogView {
   mutable SharedMutex index_mu_;
 
   // Deques, not vectors: appends never move existing elements, so Entry
-  // pointers and sort-key views handed out earlier survive later Adds.
+  // pointers handed out earlier survive later Adds.
   std::deque<Entry> entries_ AUTHIDX_GUARDED_BY(index_mu_);
-  // Parallel to entries_.
-  std::deque<std::string> sort_keys_ AUTHIDX_GUARDED_BY(index_mu_);
+  // The bytes of every entry's sort key, which rows_ holds views of:
+  // arena blocks never move, and one copy costs no per-key allocation.
+  Arena sort_keys_ AUTHIDX_GUARDED_BY(index_mu_);
+  // Parallel to entries_: what the executor's filter and order stages
+  // read per entry, so they touch no Entry.
+  std::deque<query::EntryRow> rows_ AUTHIDX_GUARDED_BY(index_mu_);
 
   std::vector<GroupRecord> groups_ AUTHIDX_GUARDED_BY(index_mu_);
   // Folded group key -> group index, in byte order: exact lookups and

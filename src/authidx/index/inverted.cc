@@ -8,7 +8,7 @@ namespace authidx {
 
 bool InvertedIndex::AddDocument(EntryId doc,
                                 const std::vector<std::string>& tokens) {
-  if (any_doc_ && doc < max_doc_) {
+  if (any_doc_ && doc <= max_doc_) {
     return false;
   }
   // Aggregate term frequencies within the document.
@@ -23,9 +23,6 @@ bool InvertedIndex::AddDocument(EntryId doc,
     }
     TermEntry& entry = it->second;
     uint32_t gap = entry.doc_freq == 0 ? doc : doc - entry.last_doc;
-    if (entry.doc_freq > 0 && gap == 0) {
-      continue;  // Same doc re-added for this term; keep first freq.
-    }
     if (entry.open_count == 0) {
       entry.open_offset = static_cast<uint32_t>(entry.encoded.size());
     }
@@ -44,6 +41,7 @@ bool InvertedIndex::AddDocument(EntryId doc,
       entry.open_max_freq = 0;
     }
   }
+  doc_lengths_.resize(size_t{doc} + 1);
   doc_lengths_[doc] = static_cast<uint32_t>(tokens.size());
   total_tokens_ += tokens.size();
   min_doc_tokens_ =
@@ -101,8 +99,7 @@ size_t InvertedIndex::DocFreq(std::string_view term) const {
 }
 
 uint32_t InvertedIndex::DocLength(EntryId doc) const {
-  auto it = doc_lengths_.find(doc);
-  return it == doc_lengths_.end() ? 0 : it->second;
+  return doc < doc_lengths_.size() ? doc_lengths_[doc] : 0;
 }
 
 size_t InvertedIndex::CompressedBytes() const {

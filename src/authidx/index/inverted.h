@@ -17,7 +17,9 @@ namespace authidx {
 /// In-memory inverted index: term -> compressed postings. Documents are
 /// added with pre-analyzed tokens (the caller runs text::Tokenize so
 /// indexing and querying share one analyzer). Doc ids must be added in
-/// non-decreasing order, which ingest order guarantees.
+/// strictly increasing order, which ingest order guarantees; doc
+/// lengths are kept in an array indexed by doc id, so ids should also be
+/// dense.
 ///
 /// Postings are stored as one continuous delta-varint run per term with
 /// a per-block skip table (kPostingsBlockSize postings per block,
@@ -30,8 +32,8 @@ class InvertedIndex {
   InvertedIndex() = default;
 
   /// Indexes `tokens` under `doc`. Duplicate tokens raise the term
-  /// frequency. Returns false (and indexes nothing) if `doc` is below a
-  /// previously added doc id.
+  /// frequency. Returns false (and indexes nothing) unless `doc` is
+  /// above every previously added doc id.
   bool AddDocument(EntryId doc, const std::vector<std::string>& tokens);
 
   /// Doc ids containing `term` (empty vector if absent).
@@ -190,7 +192,8 @@ class InvertedIndex {
   };
   std::unordered_map<std::string, TermEntry, TermHash, std::equal_to<>>
       terms_;
-  std::unordered_map<EntryId, uint32_t> doc_lengths_;
+  // Token count per doc id; 0 for ids never added.
+  std::vector<uint32_t> doc_lengths_;
   size_t doc_count_ = 0;
   uint64_t total_tokens_ = 0;
   EntryId max_doc_ = 0;

@@ -79,20 +79,22 @@ std::vector<EntryId> FilterByTerm(const InvertedIndex& index,
   return kept;
 }
 
-// True if `entry` passes every per-entry predicate. Title terms are not
+// True if `row` passes every per-entry predicate. Title terms are not
 // checked here: Execute applies them once per term in `candidates`.
-bool PassesFilters(const Query& query, const Entry& entry) {
-  if (query.year && !query.year->Contains(entry.citation.year)) {
+// Only coauthor: reads the Entry itself.
+bool PassesFilters(const Query& query, const EntryRow& row,
+                   const CatalogView& catalog) {
+  if (query.year && !query.year->Contains(row.year)) {
     return false;
   }
-  if (query.volume && !query.volume->Contains(entry.citation.volume)) {
+  if (query.volume && !query.volume->Contains(row.volume)) {
     return false;
   }
-  if (query.student && entry.author.student_material != *query.student) {
+  if (query.student && row.student != *query.student) {
     return false;
   }
   if (query.coauthor) {
-    for (const std::string& coauthor : entry.coauthors) {
+    for (const std::string& coauthor : catalog.GetEntry(row.id)->coauthors) {
       std::string folded = text::NormalizeForIndex(coauthor);
       if (folded.find(*query.coauthor) != std::string::npos) {
         return true;
@@ -111,8 +113,10 @@ std::vector<Hit> ScoreMatches(const InvertedIndex& index,
                               const std::vector<std::string>& terms,
                               const std::vector<EntryId>& matches) {
   std::vector<Hit> hits(matches.size());
+  std::vector<double> doc_len(matches.size());
   for (size_t i = 0; i < matches.size(); ++i) {
     hits[i].id = matches[i];
+    doc_len[i] = static_cast<double>(index.DocLength(matches[i]));
   }
   const double n = static_cast<double>(index.doc_count());
   const double avg_len =
@@ -120,10 +124,8 @@ std::vector<Hit> ScoreMatches(const InvertedIndex& index,
   for (const std::string& term : terms) {
     const double idf = Bm25Idf(n, static_cast<double>(index.DocFreq(term)));
     ProbeTerm(index, term, matches, [&](size_t i, uint32_t freq) {
-      hits[i].score += Bm25Contribution(
-          idf, static_cast<double>(freq),
-          static_cast<double>(index.DocLength(matches[i])), avg_len,
-          Bm25Params{});
+      hits[i].score += Bm25Contribution(idf, static_cast<double>(freq),
+                                        doc_len[i], avg_len, Bm25Params{});
     });
   }
   return hits;
@@ -231,27 +233,29 @@ Result<QueryResult> Execute(const Query& query, const CatalogView& catalog,
                                 /*keep_present=*/false);
     }
   }
-  std::vector<EntryId> matches;
+  // Filter: one dense row per candidate, which the order stage reuses.
+  std::vector<EntryRow> rows;
   {
     obs::TraceSpan span(hooks->trace, hooks->stage_filter_ns, "filter");
-    matches.reserve(candidates.size());
-    for (EntryId id : candidates) {
-      const Entry* entry = catalog.GetEntry(id);
-      if (entry != nullptr && PassesFilters(query, *entry)) {
-        matches.push_back(id);
-      }
-    }
+    catalog.FillRows(candidates, &rows);
+    std::erase_if(rows, [&](const EntryRow& row) {
+      return !PassesFilters(query, row, catalog);
+    });
   }
-  result.total_matches = matches.size();
+  result.total_matches = rows.size();
 
   // Order: only the first `need` hits are put in order, then paginated.
   obs::TraceSpan order_span(hooks->trace, hooks->stage_order_ns, "order");
-  need = std::min(need, matches.size());
+  need = std::min(need, rows.size());
   const size_t begin = std::min(query.offset, need);
   if (begin == need) {
     return result;
   }
   if (query.rank == RankMode::kRelevance && !query.title_terms.empty()) {
+    std::vector<EntryId> matches(rows.size());
+    for (size_t i = 0; i < rows.size(); ++i) {
+      matches[i] = rows[i].id;
+    }
     std::vector<Hit> ranked =
         ScoreMatches(catalog.title_index(), query.title_terms, matches);
     std::partial_sort(ranked.begin(),
@@ -266,26 +270,21 @@ Result<QueryResult> Execute(const Query& query, const CatalogView& catalog,
                        ranked.begin() + static_cast<ptrdiff_t>(need));
     return result;
   }
-  // Printed order: author collation key, volume, page, then id. One row
-  // per match so the comparator makes no virtual calls.
-  struct Row {
-    std::string_view key;
-    uint32_t volume;
-    uint32_t page;
-    EntryId id;
-  };
-  std::vector<Row> rows;
-  rows.reserve(matches.size());
-  for (EntryId id : matches) {
-    const Citation& citation = catalog.GetEntry(id)->citation;
-    rows.push_back(
-        Row{catalog.SortKey(id), citation.volume, citation.page, id});
-  }
-  std::partial_sort(rows.begin(), rows.begin() + static_cast<ptrdiff_t>(need),
-                    rows.end(), [](const Row& a, const Row& b) {
-                      return std::tie(a.key, a.volume, a.page, a.id) <
-                             std::tie(b.key, b.volume, b.page, b.id);
-                    });
+  // Printed order: author collation key, volume, page, then id. The
+  // key prefix decides most comparisons; the full keys are compared
+  // only when the prefixes tie.
+  std::partial_sort(
+      rows.begin(), rows.begin() + static_cast<ptrdiff_t>(need), rows.end(),
+      [&](const EntryRow& a, const EntryRow& b) {
+        if (a.key_prefix != b.key_prefix) {
+          return a.key_prefix < b.key_prefix;
+        }
+        if (int c = a.sort_key.compare(b.sort_key); c != 0) {
+          return c < 0;
+        }
+        return std::tie(a.volume, a.page, a.id) <
+               std::tie(b.volume, b.page, b.id);
+      });
   result.hits.reserve(need - begin);
   for (size_t i = begin; i < need; ++i) {
     result.hits.push_back(Hit{rows[i].id, 0.0});

@@ -15,6 +15,21 @@
 
 namespace authidx::query {
 
+/// What the executor's filter and order stages read of one entry, packed
+/// so those loops touch no Entry.
+struct EntryRow {
+  /// text::SortKeyPrefix(sort_key): decides most collation compares.
+  uint64_t key_prefix = 0;
+  /// The entry's memcmp-ordered author collation key (printed order);
+  /// read only when two prefixes tie.
+  std::string_view sort_key;
+  uint32_t volume = 0;
+  uint32_t page = 0;
+  uint32_t year = 0;
+  EntryId id = 0;
+  bool student = false;
+};
+
 /// The read surface the executor runs against. Implemented by
 /// core::AuthorIndex; defined here so the query library does not depend
 /// on the core layer.
@@ -46,8 +61,10 @@ class CatalogView {
   virtual std::vector<EntryId> AuthorFuzzy(std::string_view folded_name,
                                            size_t max_edits) const = 0;
 
-  /// memcmp-ordered author collation key for the entry (printed order).
-  virtual std::string_view SortKey(EntryId id) const = 0;
+  /// Replaces `rows` with one row per id of the sorted `ids`, in order.
+  /// Ids the catalog does not hold get no row.
+  virtual void FillRows(const std::vector<EntryId>& ids,
+                        std::vector<EntryRow>* rows) const = 0;
 };
 
 /// One query hit.

@@ -68,4 +68,14 @@ int Compare(std::string_view a, std::string_view b) {
   return c < 0 ? -1 : (c > 0 ? 1 : 0);
 }
 
+uint64_t SortKeyPrefix(std::string_view key) {
+  uint64_t prefix = 0;
+  for (size_t i = 0; i < 8; ++i) {
+    const uint64_t byte =
+        i < key.size() ? static_cast<unsigned char>(key[i]) : 0;
+    prefix = (prefix << 8) | byte;
+  }
+  return prefix;
+}
+
 }  // namespace authidx::text

@@ -1,6 +1,7 @@
 #ifndef AUTHIDX_TEXT_COLLATE_H_
 #define AUTHIDX_TEXT_COLLATE_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 
@@ -29,6 +30,12 @@ std::string MakeSortKey(std::string_view s);
 
 /// Three-way collation compare (-1, 0, +1) consistent with MakeSortKey.
 int Compare(std::string_view a, std::string_view b);
+
+/// The first 8 bytes of `key` as a big-endian integer, zero-padded when
+/// `key` is shorter. Monotone in memcmp order: a < b implies
+/// SortKeyPrefix(a) <= SortKeyPrefix(b), so comparing prefixes first and
+/// the full keys only when the prefixes tie keeps the keys' order.
+uint64_t SortKeyPrefix(std::string_view key);
 
 }  // namespace authidx::text
 

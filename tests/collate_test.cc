@@ -127,6 +127,39 @@ TEST_P(CollatePropertyTest, PairwiseAgreement) {
   }
 }
 
+TEST(SortKeyPrefixTest, BigEndianZeroPadded) {
+  EXPECT_EQ(SortKeyPrefix(""), 0u);
+  EXPECT_EQ(SortKeyPrefix("a"), 0x6100000000000000u);
+  EXPECT_EQ(SortKeyPrefix("abcdefgh"), 0x6162636465666768u);
+  EXPECT_EQ(SortKeyPrefix("abcdefghij"), SortKeyPrefix("abcdefgh"));
+  EXPECT_EQ(SortKeyPrefix("\xff"), 0xff00000000000000u);
+}
+
+// Property: a < b in memcmp order implies prefix(a) <= prefix(b), over
+// short strings drawn from bytes that include the zero padding itself
+// (0x00), the primary/tiebreak separator (0x01) and high bytes.
+TEST_P(CollatePropertyTest, SortKeyPrefixIsMonotone) {
+  Random rng(GetParam());
+  const char alphabet[] = {'\x00', '\x01', 'a', 'b', '\x7f', '\xff'};
+  std::vector<std::string> keys;
+  for (int i = 0; i < 300; ++i) {
+    std::string s(rng.Uniform(13), '\0');
+    for (char& c : s) {
+      c = alphabet[rng.Uniform(sizeof(alphabet))];
+    }
+    keys.push_back(std::move(s));
+  }
+  for (const std::string& a : keys) {
+    for (const std::string& b : keys) {
+      if (a < b) {
+        ASSERT_LE(SortKeyPrefix(a), SortKeyPrefix(b))
+            << testing::PrintToString(a) << " < "
+            << testing::PrintToString(b);
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, CollatePropertyTest,
                          ::testing::Values(1, 22, 333, 4444));
 

@@ -49,8 +49,26 @@ TEST(InvertedTest, OutOfOrderDocRejected) {
   InvertedIndex index;
   EXPECT_TRUE(index.AddDocument(5, {"a"}));
   EXPECT_FALSE(index.AddDocument(3, {"b"}));
-  EXPECT_TRUE(index.AddDocument(5, {"c"}));  // Equal id allowed.
+  EXPECT_FALSE(index.AddDocument(5, {"c"}));  // Ids strictly increase.
   EXPECT_TRUE(index.AddDocument(9, {"d"}));
+}
+
+// A repeated doc id used to be indexed a second time: counted as a
+// further document, its tokens added to the totals, its length
+// overwritten, and its new terms given postings.
+TEST(InvertedTest, RepeatedDocIdIndexesNothing) {
+  InvertedIndex index;
+  EXPECT_TRUE(index.AddDocument(0, {"coal", "mining"}));
+  EXPECT_FALSE(index.AddDocument(0, {"coal", "safety", "rules"}));
+  EXPECT_TRUE(index.AddDocument(1, {"coal"}));
+  EXPECT_EQ(index.doc_count(), 2u);
+  EXPECT_EQ(index.total_tokens(), 3u);
+  EXPECT_EQ(index.DocLength(0), 2u);
+  EXPECT_EQ(index.DocLength(1), 1u);
+  EXPECT_EQ(index.term_count(), 2u);
+  EXPECT_EQ(index.DocFreq("coal"), 2u);
+  EXPECT_TRUE(index.GetDocs("safety").empty());
+  EXPECT_TRUE(index.GetDocs("rules").empty());
 }
 
 TEST(InvertedTest, UnknownTermIsEmptyNotError) {
