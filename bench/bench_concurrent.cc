@@ -1,13 +1,11 @@
-// B12: storage concurrency — multithreaded point lookups, mixed
-// read/write, and synced-write group commit at 1/2/4/8 threads.
+// B12: storage concurrency — synced-write group commit at 1/2/4/8
+// threads.
 //
-// Read scaling comes from snapshot-pinned lock-free reads (Get holds the
-// engine mutex only to pin {memtable, imm, version}); write scaling under
-// sync_writes comes from the writer queue's group commit (one leader
-// fsync covers every queued writer). NOTE: thread-count scaling is only
-// observable with as many physical cores; on a single-core host the
-// per-thread rates collapse onto the 1-thread curve (see
-// docs/BENCHMARKS.md for the recorded numbers and hardware).
+// Write scaling under sync_writes comes from the writer queue's group
+// commit (one leader fsync covers every queued writer). NOTE: thread-count
+// scaling is only observable with as many physical cores; on a
+// single-core host the per-thread rates collapse onto the 1-thread curve
+// (see docs/BENCHMARKS.md for the recorded numbers and hardware).
 
 #include <benchmark/benchmark.h>
 
@@ -15,7 +13,6 @@
 #include <filesystem>
 #include <string>
 
-#include "authidx/common/random.h"
 #include "authidx/common/strings.h"
 #include "authidx/storage/engine.h"
 
@@ -29,116 +26,6 @@ std::string FreshDir(const char* tag) {
   std::filesystem::create_directories(dir);
   return dir;
 }
-
-// Shared compacted engine for the lookup benchmarks (leaked, like the
-// other bench fixtures, so teardown cost never lands in a timed region).
-struct LookupFixture {
-  std::string dir;
-  std::unique_ptr<StorageEngine> engine;
-  size_t n = 100000;
-
-  LookupFixture() {
-    dir = FreshDir("lookup");
-    EngineOptions options;
-    options.memtable_bytes = 1 << 20;
-    auto opened = StorageEngine::Open(dir, options);
-    engine = std::move(opened).value();
-    for (size_t i = 0; i < n; ++i) {
-      AUTHIDX_CHECK_OK(engine->Put(StringPrintf("key%010zu", i),
-                                   "value-payload-0123456789"));
-    }
-    AUTHIDX_CHECK_OK(engine->Compact());
-  }
-};
-
-LookupFixture& Lookups() {
-  static LookupFixture* fixture = new LookupFixture();
-  return *fixture;
-}
-
-// Point lookups from N threads against an immutable store: measures how
-// well the read path scales when nothing contends but the block cache
-// shards and the brief snapshot-pin critical section.
-void BM_ConcurrentPointLookup(benchmark::State& state) {
-  LookupFixture& f = Lookups();
-  Random rng(static_cast<uint64_t>(state.thread_index()) * 7919 + 3);
-  for (auto _ : state) {
-    size_t i = rng.Next64() % f.n;
-    auto found = f.engine->Get(StringPrintf("key%010zu", i));
-    if (!found.ok() || !found->has_value()) {
-      state.SkipWithError("lookup miss");
-      return;
-    }
-    benchmark::DoNotOptimize(*found);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ConcurrentPointLookup)
-    ->Threads(1)
-    ->Threads(2)
-    ->Threads(4)
-    ->Threads(8)
-    ->UseRealTime();
-
-// One writer thread streams puts while the remaining threads do point
-// lookups: measures read latency shielded from flush/compaction work by
-// the background thread and snapshot reads.
-struct MixedFixture {
-  std::string dir;
-  std::unique_ptr<StorageEngine> engine;
-  size_t n = 50000;
-  std::atomic<uint64_t> next_key{0};
-
-  MixedFixture() {
-    dir = FreshDir("mixed");
-    EngineOptions options;
-    options.memtable_bytes = 1 << 20;
-    options.l0_compaction_trigger = 4;
-    auto opened = StorageEngine::Open(dir, options);
-    engine = std::move(opened).value();
-    for (size_t i = 0; i < n; ++i) {
-      AUTHIDX_CHECK_OK(engine->Put(StringPrintf("key%010zu", i),
-                                   "value-payload-0123456789"));
-    }
-    AUTHIDX_CHECK_OK(engine->Flush());
-    next_key.store(n);
-  }
-};
-
-MixedFixture& Mixed() {
-  static MixedFixture* fixture = new MixedFixture();
-  return *fixture;
-}
-
-void BM_ConcurrentMixedReadWrite(benchmark::State& state) {
-  MixedFixture& f = Mixed();
-  Random rng(static_cast<uint64_t>(state.thread_index()) * 104729 + 7);
-  if (state.threads() > 1 && state.thread_index() == 0) {
-    // Writer thread: append fresh keys.
-    for (auto _ : state) {
-      uint64_t key = f.next_key.fetch_add(1, std::memory_order_relaxed);
-      AUTHIDX_CHECK_OK(f.engine->Put(StringPrintf("key%010zu", key),
-                                     "value-payload-0123456789"));
-    }
-  } else {
-    for (auto _ : state) {
-      size_t i = rng.Next64() % f.n;
-      auto found = f.engine->Get(StringPrintf("key%010zu", i));
-      if (!found.ok() || !found->has_value()) {
-        state.SkipWithError("lookup miss");
-        return;
-      }
-      benchmark::DoNotOptimize(*found);
-    }
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ConcurrentMixedReadWrite)
-    ->Threads(1)
-    ->Threads(2)
-    ->Threads(4)
-    ->Threads(8)
-    ->UseRealTime();
 
 // Synced writes from N threads: with sync_writes every commit is an
 // fsync, and the group-commit leader amortizes it over all writers

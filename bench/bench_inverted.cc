@@ -1,10 +1,8 @@
-// B5: postings algebra — galloping vs linear intersection across
-// list-length ratios, plus union and compression ratio, plus block-max
+// B5: postings — codec round trip and compression ratio, plus block-max
 // top-k pruning vs exhaustive BM25 (DESIGN.md §3).
 
 #include <benchmark/benchmark.h>
 
-#include <set>
 #include <string>
 #include <vector>
 
@@ -15,64 +13,6 @@
 
 namespace authidx {
 namespace {
-
-std::vector<EntryId> SortedIds(uint64_t seed, size_t n, EntryId universe) {
-  Random rng(seed);
-  std::set<EntryId> ids;
-  while (ids.size() < n) {
-    ids.insert(static_cast<EntryId>(rng.Uniform(universe)));
-  }
-  return {ids.begin(), ids.end()};
-}
-
-// range(0) = |large| / |small| ratio; |small| fixed at 1000.
-void BM_IntersectLinear(benchmark::State& state) {
-  size_t small_n = 1000;
-  size_t large_n = small_n * static_cast<size_t>(state.range(0));
-  auto small = SortedIds(1, small_n, 1 << 24);
-  auto large = SortedIds(2, large_n, 1 << 24);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(IntersectLinear(small, large));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(small_n + large_n));
-}
-BENCHMARK(BM_IntersectLinear)->Arg(1)->Arg(8)->Arg(32)->Arg(128)->Arg(512);
-
-void BM_IntersectGalloping(benchmark::State& state) {
-  size_t small_n = 1000;
-  size_t large_n = small_n * static_cast<size_t>(state.range(0));
-  auto small = SortedIds(1, small_n, 1 << 24);
-  auto large = SortedIds(2, large_n, 1 << 24);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(IntersectGalloping(small, large));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(small_n + large_n));
-}
-BENCHMARK(BM_IntersectGalloping)->Arg(1)->Arg(8)->Arg(32)->Arg(128)->Arg(512);
-
-void BM_IntersectAdaptive(benchmark::State& state) {
-  size_t small_n = 1000;
-  size_t large_n = small_n * static_cast<size_t>(state.range(0));
-  auto small = SortedIds(1, small_n, 1 << 24);
-  auto large = SortedIds(2, large_n, 1 << 24);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Intersect(small, large));
-  }
-}
-BENCHMARK(BM_IntersectAdaptive)->Arg(1)->Arg(8)->Arg(32)->Arg(128)->Arg(512);
-
-void BM_Union(benchmark::State& state) {
-  auto a = SortedIds(3, static_cast<size_t>(state.range(0)), 1 << 24);
-  auto b = SortedIds(4, static_cast<size_t>(state.range(0)), 1 << 24);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Union(a, b));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 2 *
-                          state.range(0));
-}
-BENCHMARK(BM_Union)->Arg(1000)->Arg(100000);
 
 void BM_PostingsEncodeDecode(benchmark::State& state) {
   // Zipfian gaps: realistic postings with dense head.

@@ -1,15 +1,12 @@
 // B7: storage engine — WAL append (buffered vs synced), engine fill,
-// point reads, full scans, compaction, and the Bloom bits/key sweep
-// (DESIGN.md §3).
+// full scans and compaction (DESIGN.md §3).
 
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
 #include <string>
 
-#include "authidx/common/random.h"
 #include "authidx/common/strings.h"
-#include "authidx/index/bloom.h"
 #include "authidx/storage/engine.h"
 #include "authidx/storage/wal.h"
 
@@ -78,7 +75,7 @@ void BM_EngineFill(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineFill)->Arg(10000)->Arg(100000)->Unit(benchmark::kMillisecond);
 
-// Shared read-only engine for the read benchmarks.
+// Shared read-only engine for the scan benchmark.
 struct ReadFixture {
   std::string dir;
   std::unique_ptr<StorageEngine> engine;
@@ -102,43 +99,6 @@ ReadFixture& Reads() {
   static ReadFixture* fixture = new ReadFixture();
   return *fixture;
 }
-
-void BM_EnginePointGetHit(benchmark::State& state) {
-  ReadFixture& f = Reads();
-  Random rng(3);
-  for (auto _ : state) {
-    auto hit = f.engine->Get(StringPrintf("key%010zu", rng.Uniform(f.n)));
-    benchmark::DoNotOptimize(hit.ok());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-}
-BENCHMARK(BM_EnginePointGetHit);
-
-void BM_EnginePointGetMiss(benchmark::State& state) {
-  ReadFixture& f = Reads();
-  Random rng(4);
-  // The fixture is shared with the hit bench, so take counter deltas
-  // around this bench's own probes.
-  auto before = f.engine->metrics().Snapshot();
-  for (auto _ : state) {
-    auto hit = f.engine->Get(StringPrintf("absent%08zu", rng.Uniform(f.n)));
-    benchmark::DoNotOptimize(hit.ok());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-  // Fraction of misses the Bloom filter short-circuited before any
-  // block read, from the obs registry — the "misses are ~10x cheaper
-  // than hits" claim in EXPERIMENTS.md B7 rests on this being ~1.
-  auto after = f.engine->metrics().Snapshot();
-  double checks = static_cast<double>(
-      after.Find("authidx_bloom_checks_total")->counter -
-      before.Find("authidx_bloom_checks_total")->counter);
-  double negatives = static_cast<double>(
-      after.Find("authidx_bloom_negatives_total")->counter -
-      before.Find("authidx_bloom_negatives_total")->counter);
-  state.counters["obs_bloom_negative_share"] =
-      checks > 0 ? negatives / checks : 0.0;
-}
-BENCHMARK(BM_EnginePointGetMiss);
 
 void BM_EngineFullScan(benchmark::State& state) {
   ReadFixture& f = Reads();
@@ -178,28 +138,6 @@ void BM_CompactionThroughput(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 50000);
 }
 BENCHMARK(BM_CompactionThroughput)->Unit(benchmark::kMillisecond);
-
-// Bloom filter false-positive-rate sweep, reported as a counter so the
-// bits/key -> FPR curve regenerates from one run.
-void BM_BloomFprSweep(benchmark::State& state) {
-  int bits_per_key = static_cast<int>(state.range(0));
-  constexpr size_t kKeys = 100000;
-  BloomFilter filter(kKeys, bits_per_key);
-  for (size_t i = 0; i < kKeys; ++i) {
-    filter.Add(StringPrintf("member%08zu", i));
-  }
-  size_t false_positives = 0;
-  size_t probes = 0;
-  for (auto _ : state) {
-    std::string probe = StringPrintf("absent%08zu", probes % kKeys);
-    false_positives += filter.MayContain(probe);
-    ++probes;
-  }
-  state.counters["fpr"] =
-      static_cast<double>(false_positives) / static_cast<double>(probes);
-  state.counters["bits_per_key"] = bits_per_key;
-}
-BENCHMARK(BM_BloomFprSweep)->Arg(4)->Arg(8)->Arg(10)->Arg(16);
 
 }  // namespace
 }  // namespace authidx::storage

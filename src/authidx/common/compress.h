@@ -9,7 +9,7 @@
 namespace authidx {
 
 /// Byte-oriented LZ77 compressor in the LZ4 token format family, used to
-/// compress storage blocks (ablation: bench_ablation).
+/// compress storage blocks (EngineOptions::compress_blocks).
 ///
 /// Stream layout: varint64 uncompressed_size, then a sequence of
 /// tokens:

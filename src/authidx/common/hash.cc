@@ -1,7 +1,5 @@
 #include "authidx/common/hash.h"
 
-#include <cstring>
-
 namespace authidx {
 
 uint64_t Fnv1a64(std::string_view data) {
@@ -11,33 +9,6 @@ uint64_t Fnv1a64(std::string_view data) {
     h *= 0x100000001b3ULL;
   }
   return h;
-}
-
-uint64_t Hash64(std::string_view data, uint64_t seed) {
-  // xxHash64-inspired: process 8-byte lanes with multiply-rotate, then
-  // finalize with the splitmix64 avalanche.
-  constexpr uint64_t kP1 = 0x9E3779B185EBCA87ULL;
-  constexpr uint64_t kP2 = 0xC2B2AE3D27D4EB4FULL;
-  uint64_t h = seed ^ (data.size() * kP1);
-  const char* p = data.data();
-  size_t n = data.size();
-  while (n >= 8) {
-    uint64_t lane;
-    std::memcpy(&lane, p, 8);
-    lane *= kP2;
-    lane = (lane << 31) | (lane >> 33);
-    lane *= kP1;
-    h ^= lane;
-    h = ((h << 27) | (h >> 37)) * kP1 + kP2;
-    p += 8;
-    n -= 8;
-  }
-  while (n > 0) {
-    h ^= static_cast<unsigned char>(*p++) * kP1;
-    h = ((h << 11) | (h >> 53)) * kP2;
-    --n;
-  }
-  return Mix64(h);
 }
 
 }  // namespace authidx

@@ -11,11 +11,6 @@ namespace authidx {
 /// string hash suffices (e.g. term dictionaries).
 uint64_t Fnv1a64(std::string_view data);
 
-/// 64-bit MurmurHash3-style finalizer over a seeded 64-bit mix; used by
-/// the Bloom filter to derive k independent probe positions from a single
-/// 128-bit-ish hash (Kirsch-Mitzenmacher double hashing).
-uint64_t Hash64(std::string_view data, uint64_t seed);
-
 /// Avalanche mix for integer keys (splitmix64 finalizer).
 inline uint64_t Mix64(uint64_t x) {
   x ^= x >> 30;

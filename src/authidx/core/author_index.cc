@@ -154,11 +154,10 @@ Status AuthorIndex::ApplyReplicatedRecord(std::string_view record) {
     Entry entry;
   };
   std::vector<PendingEntry> pending;
-  bool has_foreign_ops = false;  // Deletes / non-entry keys.
+  bool has_foreign_ops = false;  // Puts of non-entry keys.
   Status decode_error;
   Status parsed = storage::StorageEngine::ForEachRecordOp(
-      record,
-      [&](std::string_view key, std::string_view value) {
+      record, [&](std::string_view key, std::string_view value) {
         if (!decode_error.ok()) {
           return;
         }
@@ -174,8 +173,7 @@ Status AuthorIndex::ApplyReplicatedRecord(std::string_view record) {
           return;
         }
         pending.push_back({id, std::move(entry).value()});
-      },
-      [&](std::string_view) { has_foreign_ops = true; });
+      });
   AUTHIDX_RETURN_NOT_OK(parsed);
   AUTHIDX_RETURN_NOT_OK(decode_error);
 
@@ -270,7 +268,7 @@ Status AuthorIndex::AddAll(std::vector<Entry> entries) {
   WriterMutexLock lock(index_mu_);
   if (engine_ != nullptr) {
     // One atomic storage batch per AddAll: amortizes WAL framing/syncs
-    // and recovers all-or-nothing (bench_ablation BM_AblateBatchIngest).
+    // and recovers all-or-nothing (bench_ingest BM_AblateBatchIngest).
     storage::WriteBatch batch;
     EntryId id = static_cast<EntryId>(entries_.size());
     for (const Entry& entry : entries) {

@@ -107,7 +107,7 @@ class AuthorIndex final : public query::CatalogView {
 
   /// Point-in-time view of every metric this catalog records: query
   /// counters and stage latencies, plus — for persistent catalogs — the
-  /// storage engine's WAL/flush/compaction/cache/Bloom instruments (see
+  /// storage engine's WAL/flush/compaction instruments (see
   /// docs/OBSERVABILITY.md for the full name table). Thread-safe.
   obs::MetricsSnapshot GetMetricsSnapshot() const;
 

@@ -192,97 +192,4 @@ Result<std::vector<Posting>> DecodeBlockMaxPostings(std::string_view data) {
   return postings;
 }
 
-std::vector<EntryId> IntersectLinear(const std::vector<EntryId>& a,
-                                     const std::vector<EntryId>& b) {
-  std::vector<EntryId> out;
-  out.reserve(std::min(a.size(), b.size()));
-  size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (b[j] < a[i]) {
-      ++j;
-    } else {
-      out.push_back(a[i]);
-      ++i;
-      ++j;
-    }
-  }
-  return out;
-}
-
-namespace {
-
-// Finds the first index >= `from` in `v` with v[idx] >= target, probing
-// exponentially then binary-searching the final window.
-size_t GallopTo(const std::vector<EntryId>& v, size_t from, EntryId target) {
-  size_t lo = from;
-  size_t step = 1;
-  size_t hi = from;
-  while (hi < v.size() && v[hi] < target) {
-    lo = hi + 1;
-    hi += step;
-    step *= 2;
-  }
-  if (hi > v.size()) {
-    hi = v.size();
-  }
-  return static_cast<size_t>(
-      std::lower_bound(v.begin() + static_cast<ptrdiff_t>(lo),
-                       v.begin() + static_cast<ptrdiff_t>(hi), target) -
-      v.begin());
-}
-
-}  // namespace
-
-std::vector<EntryId> IntersectGalloping(const std::vector<EntryId>& a,
-                                        const std::vector<EntryId>& b) {
-  // Iterate the smaller list, gallop in the larger.
-  const std::vector<EntryId>& small = a.size() <= b.size() ? a : b;
-  const std::vector<EntryId>& large = a.size() <= b.size() ? b : a;
-  std::vector<EntryId> out;
-  out.reserve(small.size());
-  size_t pos = 0;
-  for (EntryId id : small) {
-    pos = GallopTo(large, pos, id);
-    if (pos == large.size()) {
-      break;
-    }
-    if (large[pos] == id) {
-      out.push_back(id);
-      ++pos;
-    }
-  }
-  return out;
-}
-
-std::vector<EntryId> Intersect(const std::vector<EntryId>& a,
-                               const std::vector<EntryId>& b) {
-  size_t lo = std::min(a.size(), b.size());
-  size_t hi = std::max(a.size(), b.size());
-  // Galloping pays off once the length ratio covers its log factor.
-  if (lo > 0 && hi / lo >= 32) {
-    return IntersectGalloping(a, b);
-  }
-  return IntersectLinear(a, b);
-}
-
-std::vector<EntryId> Union(const std::vector<EntryId>& a,
-                           const std::vector<EntryId>& b) {
-  std::vector<EntryId> out;
-  out.reserve(a.size() + b.size());
-  std::set_union(a.begin(), a.end(), b.begin(), b.end(),
-                 std::back_inserter(out));
-  return out;
-}
-
-std::vector<EntryId> Difference(const std::vector<EntryId>& a,
-                                const std::vector<EntryId>& b) {
-  std::vector<EntryId> out;
-  out.reserve(a.size());
-  std::set_difference(a.begin(), a.end(), b.begin(), b.end(),
-                      std::back_inserter(out));
-  return out;
-}
-
 }  // namespace authidx

@@ -103,30 +103,6 @@ class BlockMaxReader {
   std::string_view payload_;
 };
 
-// Set algebra over doc-sorted id vectors. These operate on plain id
-// vectors (frequencies are carried separately by the ranker).
-
-/// Linear merge intersection; O(|a| + |b|).
-std::vector<EntryId> IntersectLinear(const std::vector<EntryId>& a,
-                                     const std::vector<EntryId>& b);
-
-/// Galloping (exponential-probe) intersection; O(|small| log |large|),
-/// the right choice when the lists differ greatly in length.
-std::vector<EntryId> IntersectGalloping(const std::vector<EntryId>& a,
-                                        const std::vector<EntryId>& b);
-
-/// Adaptive: picks linear vs galloping by length ratio.
-std::vector<EntryId> Intersect(const std::vector<EntryId>& a,
-                               const std::vector<EntryId>& b);
-
-/// Sorted union.
-std::vector<EntryId> Union(const std::vector<EntryId>& a,
-                           const std::vector<EntryId>& b);
-
-/// Sorted difference a \ b.
-std::vector<EntryId> Difference(const std::vector<EntryId>& a,
-                                const std::vector<EntryId>& b);
-
 }  // namespace authidx
 
 #endif  // AUTHIDX_INDEX_POSTINGS_H_

@@ -146,7 +146,7 @@ enum class MetricType {
 
 /// Point-in-time value of one registered metric.
 struct MetricValue {
-  /// Registered metric name (e.g. "authidx_block_cache_hits_total").
+  /// Registered metric name (e.g. "authidx_wal_appends_total").
   std::string name;
   /// Human-readable description, emitted as the Prometheus HELP line.
   std::string help;

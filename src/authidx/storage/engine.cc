@@ -12,7 +12,6 @@ namespace authidx::storage {
 namespace {
 
 constexpr char kOpPut = 'P';
-constexpr char kOpDelete = 'D';
 constexpr char kOpBatch = 'B';
 
 // Cap on the WAL bytes one group-commit leader writes on behalf of the
@@ -26,42 +25,24 @@ uint64_t NowNs() {
           .count());
 }
 
-// Iterator adapter that strips value tags and skips tombstones, turning
-// the raw merged stream into a live-keys view. `pins` keeps the
-// memtables/table-file snapshot backing the children alive for the
-// iterator's lifetime, so flushes and compactions never invalidate it.
-class LiveIterator final : public Iterator {
+// Iterator adapter that keeps the memtables/table-file snapshot backing
+// the merged stream alive for the iterator's lifetime (`pins`), so
+// flushes and compactions never invalidate it.
+class PinnedIterator final : public Iterator {
  public:
-  LiveIterator(std::unique_ptr<Iterator> base,
-               std::vector<std::shared_ptr<const void>> pins)
+  PinnedIterator(std::unique_ptr<Iterator> base,
+                 std::vector<std::shared_ptr<const void>> pins)
       : base_(std::move(base)), pins_(std::move(pins)) {}
 
   bool Valid() const override { return base_->Valid(); }
-  void SeekToFirst() override {
-    base_->SeekToFirst();
-    SkipTombstones();
-  }
-  void Seek(std::string_view target) override {
-    base_->Seek(target);
-    SkipTombstones();
-  }
-  void Next() override {
-    base_->Next();
-    SkipTombstones();
-  }
+  void SeekToFirst() override { base_->SeekToFirst(); }
+  void Seek(std::string_view target) override { base_->Seek(target); }
+  void Next() override { base_->Next(); }
   std::string_view key() const override { return base_->key(); }
-  std::string_view value() const override {
-    return MemTable::StripTag(base_->value());
-  }
+  std::string_view value() const override { return base_->value(); }
   Status status() const override { return base_->status(); }
 
  private:
-  void SkipTombstones() {
-    while (base_->Valid() && MemTable::IsTombstoneValue(base_->value())) {
-      base_->Next();
-    }
-  }
-
   std::unique_ptr<Iterator> base_;
   std::vector<std::shared_ptr<const void>> pins_;
 };
@@ -100,7 +81,6 @@ StorageEngine::StorageEngine(std::string dir, EngineOptions options)
                                           : owned_metrics_.get()),
       log_(options.logger != nullptr ? options.logger
                                      : obs::Logger::Disabled()),
-      cache_(options.block_cache_bytes),
       mem_(std::make_shared<MemTable>()),
       version_(std::make_shared<const Version>()) {
   RegisterInstruments();
@@ -134,28 +114,8 @@ void StorageEngine::RegisterInstruments() {
       "Table-file bytes written by compactions");
   m_.compaction_ns = metrics_->RegisterLatencyHistogram(
       "authidx_compaction_duration_ns", "Latency of one compaction, ns");
-  m_.cache_hits = metrics_->RegisterCounter(
-      "authidx_block_cache_hits_total", "Block cache hits");
-  m_.cache_misses = metrics_->RegisterCounter(
-      "authidx_block_cache_misses_total", "Block cache misses");
-  m_.cache_evictions = metrics_->RegisterCounter(
-      "authidx_block_cache_evictions_total", "Block cache LRU evictions");
-  m_.cache_bytes = metrics_->RegisterGauge(
-      "authidx_block_cache_bytes", "Block cache bytes currently resident");
-  m_.bloom_checks = metrics_->RegisterCounter(
-      "authidx_bloom_checks_total", "Bloom filter consultations");
-  m_.bloom_negatives = metrics_->RegisterCounter(
-      "authidx_bloom_negatives_total",
-      "Bloom filter definite-absent short-circuits");
   m_.puts = metrics_->RegisterCounter(
       "authidx_storage_puts_total", "Engine Put operations (incl. batched)");
-  m_.deletes = metrics_->RegisterCounter(
-      "authidx_storage_deletes_total",
-      "Engine Delete operations (incl. batched)");
-  m_.gets = metrics_->RegisterCounter(
-      "authidx_storage_gets_total", "Engine point lookups");
-  m_.get_ns = metrics_->RegisterLatencyHistogram(
-      "authidx_storage_get_duration_ns", "Latency of one point lookup, ns");
   m_.recovery_records = metrics_->RegisterCounter(
       "authidx_engine_recovery_records_total",
       "WAL records replayed during recovery");
@@ -194,8 +154,6 @@ void StorageEngine::RegisterInstruments() {
   m_.group_commit_writes = metrics_->RegisterCounter(
       "authidx_group_commit_writes_total",
       "Writes committed through group commit (batches * mean group size)");
-  cache_.BindMetrics(m_.cache_hits, m_.cache_misses, m_.cache_evictions,
-                     m_.cache_bytes);
 }
 
 Status StorageEngine::WritableStatusLocked() const {
@@ -486,28 +444,23 @@ Result<std::unique_ptr<StorageEngine>> StorageEngine::Open(
 
 Status StorageEngine::ForEachRecordOp(
     std::string_view record,
-    const std::function<void(std::string_view, std::string_view)>& put,
-    const std::function<void(std::string_view)>& del) {
+    const std::function<void(std::string_view, std::string_view)>& put) {
   if (record.empty()) {
     return Status::Corruption("empty WAL record");
   }
   char op = record.front();
   record.remove_prefix(1);
   if (op == kOpBatch) {
-    return WriteBatch::Iterate(record, put, del);
+    return WriteBatch::Iterate(record, put);
+  }
+  if (op != kOpPut) {
+    return Status::Corruption("unknown WAL op");
   }
   std::string_view key, value;
   AUTHIDX_RETURN_NOT_OK(GetLengthPrefixed(&record, &key));
-  if (op == kOpPut) {
-    AUTHIDX_RETURN_NOT_OK(GetLengthPrefixed(&record, &value));
-    put(key, value);
-    return Status::OK();
-  }
-  if (op == kOpDelete) {
-    del(key);
-    return Status::OK();
-  }
-  return Status::Corruption("unknown WAL op");
+  AUTHIDX_RETURN_NOT_OK(GetLengthPrefixed(&record, &value));
+  put(key, value);
+  return Status::OK();
 }
 
 std::string StorageEngine::EncodePutRecord(std::string_view key,
@@ -520,18 +473,11 @@ std::string StorageEngine::EncodePutRecord(std::string_view key,
 
 Status StorageEngine::ApplyRecordToMemtable(MemTable& mem,
                                             std::string_view record,
-                                            uint64_t* puts,
-                                            uint64_t* deletes) {
-  return ForEachRecordOp(
-      record,
-      [&](std::string_view k, std::string_view v) {
-        mem.Put(k, v);
-        ++*puts;
-      },
-      [&](std::string_view k) {
-        mem.Delete(k);
-        ++*deletes;
-      });
+                                            uint64_t* puts) {
+  return ForEachRecordOp(record, [&](std::string_view k, std::string_view v) {
+    mem.Put(k, v);
+    ++*puts;
+  });
 }
 
 Status StorageEngine::ReplayWalIntoMemtable(uint64_t wal_number) {
@@ -539,11 +485,10 @@ Status StorageEngine::ReplayWalIntoMemtable(uint64_t wal_number) {
   if (!env_->FileExists(path)) {
     return Status::OK();  // Crash between manifest save and WAL creation.
   }
-  uint64_t ignored_puts = 0, ignored_deletes = 0;
+  uint64_t ignored_puts = 0;
   Result<WalReplayStats> stats =
       ReplayWal(env_, path, [&](std::string_view record) -> Status {
-        return ApplyRecordToMemtable(*mem_, record, &ignored_puts,
-                                     &ignored_deletes);
+        return ApplyRecordToMemtable(*mem_, record, &ignored_puts);
       });
   AUTHIDX_RETURN_NOT_OK(stats.status());
   stats_.wal_replayed_records += stats->records;
@@ -565,11 +510,10 @@ Status StorageEngine::ReplayWalIntoMemtable(uint64_t wal_number) {
 
 Result<std::shared_ptr<TableReader>> StorageEngine::OpenTableReader(
     uint64_t file_number) {
-  Result<std::unique_ptr<TableReader>> reader = TableReader::Open(
-      env_, TableFileName(dir_, file_number), &cache_, file_number);
+  Result<std::unique_ptr<TableReader>> reader =
+      TableReader::Open(env_, TableFileName(dir_, file_number));
   AUTHIDX_RETURN_NOT_OK(reader.status());
   std::shared_ptr<TableReader> shared = std::move(reader).value();
-  shared->BindBloomMetrics(m_.bloom_checks, m_.bloom_negatives);
   shared->BindCorruptionMetric(m_.corrupt_blocks);
   return shared;
 }
@@ -788,11 +732,10 @@ Status StorageEngine::QueueWrite(std::string record) {
       fail_op = "wal_append";
     }
   }
-  uint64_t puts = 0, deletes = 0;
+  uint64_t puts = 0;
   if (commit.ok()) {
     for (Writer* peer : group) {
-      Status applied =
-          ApplyRecordToMemtable(*mem, peer->record, &puts, &deletes);
+      Status applied = ApplyRecordToMemtable(*mem, peer->record, &puts);
       if (!applied.ok()) {
         commit = std::move(applied);
         fail_op = "memtable_apply";
@@ -803,9 +746,6 @@ Status StorageEngine::QueueWrite(std::string record) {
     m_.group_commit_writes->Inc(group.size());
     if (puts > 0) {
       m_.puts->Inc(puts);
-    }
-    if (deletes > 0) {
-      m_.deletes->Inc(deletes);
     }
   }
 
@@ -823,7 +763,6 @@ Status StorageEngine::QueueWrite(std::string record) {
     committed_pos_ = {manifest_.wal_number, wal->bytes_written()};
   }
   stats_.puts += puts;
-  stats_.deletes += deletes;
   stats_.memtable_bytes = mem->ApproximateMemoryUsage();
   // If this commit pushed the memtable over its budget, the leader seals
   // it now (still at the queue front, so touching wal_ is legal) and —
@@ -890,15 +829,6 @@ Status StorageEngine::Put(std::string_view key, std::string_view value) {
   return QueueWrite(EncodePutRecord(key, value));
 }
 
-Status StorageEngine::Delete(std::string_view key) {
-  if (options_.apply_only) {
-    return ApplyOnlyError();
-  }
-  std::string record(1, kOpDelete);
-  PutLengthPrefixed(&record, key);
-  return QueueWrite(std::move(record));
-}
-
 Status StorageEngine::Apply(const WriteBatch& batch) {
   if (options_.apply_only) {
     return ApplyOnlyError();
@@ -917,9 +847,8 @@ Status StorageEngine::ApplyReplicated(std::string_view record) {
   // Validate before queueing so a corrupt shipped record is rejected
   // here (the follower can drop the stream and resubscribe) instead of
   // poisoning the group-commit leader's memtable apply.
-  Status valid = ForEachRecordOp(
-      record, [](std::string_view, std::string_view) {},
-      [](std::string_view) {});
+  Status valid =
+      ForEachRecordOp(record, [](std::string_view, std::string_view) {});
   if (!valid.ok()) {
     return valid.WithContext("rejecting malformed replicated record");
   }
@@ -945,88 +874,6 @@ void StorageEngine::PinWalsFrom(uint64_t wal_number) {
   retained_wals_ = std::move(still_retained);
 }
 
-Result<std::optional<std::string>> StorageEngine::Get(std::string_view key) {
-  ReadOptions defaults;
-  defaults.verify_checksums = options_.verify_checksums;
-  return Get(key, defaults);
-}
-
-Result<std::optional<std::string>> StorageEngine::Get(
-    std::string_view key, const ReadOptions& options) {
-  std::shared_ptr<MemTable> mem, imm;
-  std::shared_ptr<const Version> version;
-  {
-    // Pin a consistent snapshot; everything after runs without the lock,
-    // so reads never serialize behind flushes, compactions, or each
-    // other's I/O.
-    MutexLock lock(mu_);
-    if (options_.paranoid_checks && !bg_error_.ok()) {
-      return bg_error_.WithContext("read rejected: paranoid engine degraded");
-    }
-    mem = mem_;
-    imm = imm_;
-    version = version_;
-    ++stats_.gets;
-  }
-  m_.gets->Inc();
-  obs::TraceSpan timer(nullptr, m_.get_ns, "storage_get");
-  std::string value;
-  for (const std::shared_ptr<MemTable>& table : {mem, imm}) {
-    if (table == nullptr) {
-      continue;
-    }
-    switch (table->Get(key, &value)) {
-      case MemTable::GetResult::kFound:
-        return std::optional<std::string>(std::move(value));
-      case MemTable::GetResult::kDeleted:
-        return std::optional<std::string>();
-      case MemTable::GetResult::kNotFound:
-        break;
-    }
-  }
-  // Level 0 newest-first, then level 1 by key range.
-  auto lookup = [&](const TableEntry& entry)
-      -> Result<std::optional<std::string>> {
-    Result<std::optional<std::string>> found =
-        entry.reader->Get(key, options.verify_checksums);
-    if (!found.ok()) {
-      // Corruption (bad block checksum, truncated table) surfaces here;
-      // flag the file so an operator can quarantine it.
-      log_->Log(obs::LogLevel::kError, "table_get_failed",
-                {{"table", entry.meta.file_number},
-                 {"level", entry.meta.level},
-                 {"status", found.status().message()}});
-    }
-    return found;
-  };
-  for (const TableEntry& entry : version->level0) {
-    AUTHIDX_ASSIGN_OR_RETURN(std::optional<std::string> tagged,
-                             lookup(entry));
-    if (tagged.has_value()) {
-      if (MemTable::IsTombstoneValue(*tagged)) {
-        return std::optional<std::string>();
-      }
-      return std::optional<std::string>(
-          std::string(MemTable::StripTag(*tagged)));
-    }
-  }
-  for (const TableEntry& entry : version->level1) {
-    if (key < entry.meta.smallest_key || key > entry.meta.largest_key) {
-      continue;
-    }
-    AUTHIDX_ASSIGN_OR_RETURN(std::optional<std::string> tagged,
-                             lookup(entry));
-    if (tagged.has_value()) {
-      if (MemTable::IsTombstoneValue(*tagged)) {
-        return std::optional<std::string>();
-      }
-      return std::optional<std::string>(
-          std::string(MemTable::StripTag(*tagged)));
-    }
-  }
-  return std::optional<std::string>();
-}
-
 std::unique_ptr<Iterator> StorageEngine::NewIterator() {
   std::shared_ptr<MemTable> mem, imm;
   std::shared_ptr<const Version> version;
@@ -1046,12 +893,10 @@ std::unique_ptr<Iterator> StorageEngine::NewIterator() {
     children.push_back(imm->NewIterator());
   }
   for (const TableEntry& entry : version->level0) {
-    children.push_back(entry.reader->NewIterator(
-        /*fill_cache=*/true, options_.verify_checksums));
+    children.push_back(entry.reader->NewIterator());
   }
   for (const TableEntry& entry : version->level1) {
-    children.push_back(entry.reader->NewIterator(
-        /*fill_cache=*/true, options_.verify_checksums));
+    children.push_back(entry.reader->NewIterator());
   }
   std::vector<std::shared_ptr<const void>> pins;
   pins.push_back(std::move(mem));
@@ -1059,13 +904,12 @@ std::unique_ptr<Iterator> StorageEngine::NewIterator() {
     pins.push_back(std::move(imm));
   }
   pins.push_back(std::move(version));
-  return std::make_unique<LiveIterator>(
+  return std::make_unique<PinnedIterator>(
       NewMergingIterator(std::move(children)), std::move(pins));
 }
 
 Result<FileMeta> StorageEngine::WriteTableFromIterator(Iterator* it,
                                                        int level,
-                                                       bool drop_tombstones,
                                                        uint64_t file_number) {
   FileMeta meta;
   meta.file_number = file_number;
@@ -1075,14 +919,10 @@ Result<FileMeta> StorageEngine::WriteTableFromIterator(Iterator* it,
   TableBuilder::Options topt;
   topt.block_bytes = options_.block_bytes;
   topt.restart_interval = options_.restart_interval;
-  topt.bloom_bits_per_key = options_.bloom_bits_per_key;
   topt.compress = options_.compress_blocks;
   TableBuilder builder(topt, file.get());
   bool first = true;
   for (it->SeekToFirst(); it->Valid(); it->Next()) {
-    if (drop_tombstones && MemTable::IsTombstoneValue(it->value())) {
-      continue;
-    }
     AUTHIDX_RETURN_NOT_OK(builder.Add(it->key(), it->value()));
     if (first) {
       meta.smallest_key = it->key();
@@ -1114,10 +954,8 @@ Status StorageEngine::FlushImmLocked() {
 
   mu_.Unlock();
   auto imm_iter = imm->NewIterator();
-  // Keep tombstones: they must shadow older runs until compaction.
   Result<FileMeta> written =
-      WriteTableFromIterator(imm_iter.get(), /*level=*/0,
-                             /*drop_tombstones=*/false, file_number);
+      WriteTableFromIterator(imm_iter.get(), /*level=*/0, file_number);
   Status s = written.status();
   FileMeta meta;
   std::shared_ptr<TableReader> reader;
@@ -1201,7 +1039,7 @@ Status StorageEngine::CompactImplLocked() {
     return Status::OK();  // Already fully compacted.
   }
   // Merge newest-first so the merging iterator's "first child wins" rule
-  // preserves recency.
+  // keeps only the newest version of each key.
   std::vector<FileMeta> ordered = manifest_.LevelFiles(0);
   for (const FileMeta& meta : manifest_.LevelFiles(1)) {
     ordered.push_back(meta);
@@ -1228,11 +1066,11 @@ Status StorageEngine::CompactImplLocked() {
   std::vector<std::unique_ptr<Iterator>> children;
   children.reserve(inputs.size());
   for (const std::shared_ptr<TableReader>& input : inputs) {
-    children.push_back(input->NewIterator(/*fill_cache=*/false));
+    children.push_back(input->NewIterator());
   }
   auto merged = NewMergingIterator(std::move(children));
-  Result<FileMeta> written = WriteTableFromIterator(
-      merged.get(), /*level=*/1, /*drop_tombstones=*/true, file_number);
+  Result<FileMeta> written =
+      WriteTableFromIterator(merged.get(), /*level=*/1, file_number);
   Status s = written.status();
   FileMeta meta;
   std::shared_ptr<TableReader> reader;
@@ -1261,7 +1099,7 @@ Status StorageEngine::CompactImplLocked() {
   if (meta.entry_count > 0) {
     pending.files.push_back(meta);
   } else {
-    ScheduleFileForRemovalLocked(table_path);  // All inputs were dead.
+    ScheduleFileForRemovalLocked(table_path);  // Defensive: empty output.
   }
   Status saved = pending.Save(env_, dir_);
   if (!saved.ok()) {
@@ -1288,7 +1126,6 @@ Status StorageEngine::CompactImplLocked() {
       readers_.end());
   RebuildVersionLocked();
   for (const FileMeta& old : old_files) {
-    cache_.EraseFile(old.file_number);
     ScheduleFileForRemovalLocked(TableFileName(dir_, old.file_number));
   }
   ++stats_.compactions;
@@ -1423,9 +1260,9 @@ Result<IntegrityReport> StorageEngine::VerifyIntegrity() {
     }
     files = manifest_.files;
   }
-  // Every table: fresh reader (footer/index/filter re-validated), full
-  // scan with the cache bypassed so each block's CRC is re-checked
-  // against the bytes on disk, plus order/range/count checks against
+  // Every table: fresh reader (footer/index re-validated), full scan so
+  // each block's CRC is re-checked against the bytes on disk, plus
+  // order/range/count checks against
   // the manifest. Per-file reporting: one corrupt table must not hide
   // damage in the others. Runs without the mutex — a concurrent
   // compaction may remove a superseded file mid-scan, which surfaces as
@@ -1439,8 +1276,7 @@ Result<IntegrityReport> StorageEngine::VerifyIntegrity() {
           env_, TableFileName(dir_, meta.file_number));
       AUTHIDX_RETURN_NOT_OK(opened.status());
       (*opened)->BindCorruptionMetric(m_.corrupt_blocks);
-      auto it = (*opened)->NewIterator(/*fill_cache=*/false,
-                                       /*verify_checksums=*/true);
+      auto it = (*opened)->NewIterator();
       std::string last_key;
       for (it->SeekToFirst(); it->Valid(); it->Next()) {
         std::string_view key = it->key();
@@ -1479,36 +1315,6 @@ Result<IntegrityReport> StorageEngine::VerifyIntegrity() {
              {"corrupt_tables", report.corrupt_files},
              {"manifest_ok", report.manifest_status.ok()}});
   return report;
-}
-
-Status StorageEngine::CreateCheckpoint(const std::string& checkpoint_dir) {
-  {
-    MutexLock lock(mu_);
-    AUTHIDX_RETURN_NOT_OK(WritableStatusLocked());
-  }
-  if (env_->FileExists(ManifestFileName(checkpoint_dir))) {
-    return Status::AlreadyExists("checkpoint target already holds a store: " +
-                                 checkpoint_dir);
-  }
-  // Everything in the memtable/WAL moves into immutable tables first, so
-  // the checkpoint is exactly the manifest + table files.
-  AUTHIDX_RETURN_NOT_OK(Flush());
-  AUTHIDX_RETURN_NOT_OK(env_->CreateDirIfMissing(checkpoint_dir));
-  // Copy under the mutex: commits (and the unlinks that follow them)
-  // cannot interleave, so the manifest snapshot and the files it names
-  // stay consistent for the duration of the copy.
-  MutexLock lock(mu_);
-  Manifest snapshot = manifest_;
-  snapshot.wal_number = 0;      // The copy starts with no WAL...
-  snapshot.imm_wal_number = 0;  // ...and no handoff in flight.
-  for (const FileMeta& meta : snapshot.files) {
-    AUTHIDX_ASSIGN_OR_RETURN(
-        std::string contents,
-        env_->ReadFileToString(TableFileName(dir_, meta.file_number)));
-    AUTHIDX_RETURN_NOT_OK(env_->WriteStringToFileSync(
-        TableFileName(checkpoint_dir, meta.file_number), contents));
-  }
-  return snapshot.Save(env_, checkpoint_dir);
 }
 
 Status StorageEngine::Close() {

@@ -6,7 +6,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -23,7 +22,6 @@
 #include "authidx/storage/manifest.h"
 #include "authidx/storage/memtable.h"
 #include "authidx/storage/table.h"
-#include "authidx/storage/cache.h"
 #include "authidx/storage/wal.h"
 #include "authidx/storage/write_batch.h"
 
@@ -42,14 +40,11 @@ struct EngineOptions {
   /// Table-format knobs.
   size_t block_bytes = 4096;
   int restart_interval = 16;
-  int bloom_bits_per_key = 10;
   /// Per-block LZ compression of table files.
   bool compress_blocks = false;
-  /// Shared decoded-block cache; 0 disables it.
-  size_t block_cache_bytes = 8 * 1024 * 1024;
   /// Filesystem to use (tests inject fault-injecting ones).
   Env* env = nullptr;  // nullptr = Env::Default().
-  /// Registry to record WAL/flush/compaction/cache/Bloom metrics into
+  /// Registry to record WAL/flush/compaction metrics into
   /// (see docs/OBSERVABILITY.md); must outlive the engine. nullptr gives
   /// the engine a private registry, readable via metrics().
   obs::MetricsRegistry* metrics = nullptr;
@@ -60,11 +55,8 @@ struct EngineOptions {
   /// Degradation policy once a background error is sticky: by default
   /// reads keep serving the already-durable state (read-only
   /// degradation); paranoid mode halts reads too, returning the sticky
-  /// error from Get/NewIterator until the store is reopened.
+  /// error from NewIterator until the store is reopened.
   bool paranoid_checks = false;
-  /// Default for ReadOptions::verify_checksums on every read issued
-  /// through this engine.
-  bool verify_checksums = false;
   /// Retry budget for *transient* background failures (memtable flush,
   /// compaction): total attempts including the first. WAL append/sync
   /// failures are never retried-and-acknowledged — a write whose sync
@@ -74,21 +66,12 @@ struct EngineOptions {
   uint64_t retry_base_delay_us = 100;
   /// Saturation bound for the exponential backoff.
   uint64_t retry_max_delay_us = 10000;
-  /// Replication-follower mode: the public write API (Put/Delete/Apply)
+  /// Replication-follower mode: the public write API (Put/Apply)
   /// fails with FailedPrecondition and the only accepted mutations are
   /// ApplyReplicated() records shipped from a primary. The engine still
   /// writes its own WAL (so follower crash recovery is local) and still
   /// flushes/compacts normally.
   bool apply_only = false;
-};
-
-/// Per-read options.
-struct ReadOptions {
-  /// Re-verify the block CRC32C against the bytes on disk for every
-  /// block this read touches. Bypasses the decoded-block cache (a cache
-  /// hit would short-circuit the disk read the verification is about),
-  /// so verified reads trade speed for end-to-end integrity.
-  bool verify_checksums = false;
 };
 
 /// Per-table result of VerifyIntegrity().
@@ -122,8 +105,6 @@ struct IntegrityReport {
 /// Counters exposed for tests and benchmarks.
 struct EngineStats {
   uint64_t puts = 0;
-  uint64_t deletes = 0;
-  uint64_t gets = 0;
   uint64_t flushes = 0;
   uint64_t compactions = 0;
   uint64_t wal_replayed_records = 0;
@@ -135,11 +116,13 @@ struct EngineStats {
 };
 
 /// Embedded ordered key-value store: WAL + memtable + two-level LSM of
-/// immutable sorted-run tables with Bloom filters. This is the
-/// persistence substrate underneath AuthorIndex; keys are collation sort
-/// keys or metadata keys, values are encoded entries.
+/// immutable sorted-run tables. This is the persistence substrate
+/// underneath AuthorIndex; keys are big-endian entry ids or metadata
+/// keys, values are encoded entries. It is written by Put/Apply and read
+/// only by ordered scans (NewIterator): the catalog keeps its working
+/// set in memory and never issues point reads or deletes.
 ///
-/// Crash-safety contract: a Put/Delete is durable once it returns when
+/// Crash-safety contract: a Put/Apply is durable once it returns when
 /// `sync_writes` is true; otherwise once Flush()/Close() returns.
 /// Recovery replays the immutable-memtable WAL (if a flush was in
 /// flight) and then the live WAL over the manifest state, tolerating a
@@ -178,9 +161,9 @@ class StorageEngine {
   StorageEngine(const StorageEngine&) = delete;
   StorageEngine& operator=(const StorageEngine&) = delete;
 
+  /// Inserts or overwrites `key`; the newest value wins in every scan.
   Status Put(std::string_view key, std::string_view value)
       AUTHIDX_EXCLUDES(mu_);
-  Status Delete(std::string_view key) AUTHIDX_EXCLUDES(mu_);
 
   /// Applies a batch atomically (one WAL record; recovery replays all
   /// of it or none).
@@ -191,7 +174,8 @@ class StorageEngine {
   /// writer queue (the record lands in this engine's own WAL, so the
   /// follower recovers locally after a crash). Re-applying a record the
   /// engine already holds is state-idempotent: the same keys get the
-  /// same values. Rejects malformed records before queueing.
+  /// same values. Rejects malformed records, and records holding any op
+  /// other than a put, before queueing.
   Status ApplyReplicated(std::string_view record) AUTHIDX_EXCLUDES(mu_);
 
   /// The durable replication frontier: every WAL byte at or before this
@@ -214,26 +198,16 @@ class StorageEngine {
   static std::string EncodePutRecord(std::string_view key,
                                      std::string_view value);
 
-  /// Decodes one WAL record, invoking `put` / `del` for each operation
-  /// it holds (one for put/delete records, many for batch records).
-  /// Corruption-safe: returns non-OK without invoking callbacks past
-  /// the damage point.
+  /// Decodes one WAL record, invoking `put` for each operation it holds
+  /// (one for put records, many for batch records). Corruption-safe:
+  /// returns non-OK without invoking `put` past the damage point. A
+  /// delete ('D') record, or a batch holding a delete op, is Corruption:
+  /// the engine has no deletes.
   static Status ForEachRecordOp(
       std::string_view record,
-      const std::function<void(std::string_view, std::string_view)>& put,
-      const std::function<void(std::string_view)>& del);
+      const std::function<void(std::string_view, std::string_view)>& put);
 
-  /// Point lookup across memtable and all levels (newest wins), using
-  /// the engine-default ReadOptions (`EngineOptions::verify_checksums`).
-  Result<std::optional<std::string>> Get(std::string_view key)
-      AUTHIDX_EXCLUDES(mu_);
-
-  /// Point lookup with explicit per-read options.
-  Result<std::optional<std::string>> Get(std::string_view key,
-                                         const ReadOptions& options)
-      AUTHIDX_EXCLUDES(mu_);
-
-  /// Ordered iterator over live (non-deleted) keys. The iterator pins
+  /// Ordered iterator over every key with its newest value. The iterator pins
   /// the table files and memtables that existed at creation, so flushes
   /// and compactions never invalidate it; writes landing in the pinned
   /// memtable after creation may or may not be observed.
@@ -244,20 +218,13 @@ class StorageEngine {
   Status Flush() AUTHIDX_EXCLUDES(mu_);
 
   /// Merges all level-0 tables plus level 1 into a single level-1 run,
-  /// dropping tombstones and shadowed versions. Runs on the background
+  /// keeping only the newest version of each key. Runs on the background
   /// thread; this call waits for the result.
   Status Compact() AUTHIDX_EXCLUDES(mu_);
 
   /// Flushes and fsyncs everything, stops the background thread, and
   /// rejects all writes from the first moment of the call.
   Status Close() AUTHIDX_EXCLUDES(mu_);
-
-  /// Creates a consistent point-in-time copy of the store in
-  /// `checkpoint_dir` (created; must not already contain a store). The
-  /// checkpoint flushes first, then copies the manifest and table files;
-  /// it can be opened later as an independent StorageEngine.
-  Status CreateCheckpoint(const std::string& checkpoint_dir)
-      AUTHIDX_EXCLUDES(mu_);
 
   /// The sticky background error; OK while the engine is healthy. Set
   /// by the first failed WAL append/sync, flush, compaction, or
@@ -273,7 +240,7 @@ class StorageEngine {
   }
 
   /// Scans the manifest and every table file, re-reading and
-  /// CRC-verifying each block from disk (cache bypassed) and checking
+  /// CRC-verifying each block from disk and checking
   /// key order, key ranges, and entry counts against the manifest.
   /// Read-only: works on a degraded engine, reports per-file damage
   /// instead of failing on the first corrupt file, and increments
@@ -285,7 +252,6 @@ class StorageEngine {
   /// Consistent point-in-time snapshot of the counters.
   EngineStats stats() const AUTHIDX_EXCLUDES(mu_);
   const std::string& dir() const { return dir_; }
-  const BlockCache& block_cache() const { return cache_; }
   /// The filesystem this engine was opened on (EngineOptions::env, or
   /// Env::Default()). Sidecar files that must share the engine's fault
   /// domain — e.g. the replication cursor — go through it.
@@ -312,16 +278,7 @@ class StorageEngine {
     obs::Counter* compaction_bytes_in = nullptr;
     obs::Counter* compaction_bytes_out = nullptr;
     obs::LatencyHistogram* compaction_ns = nullptr;
-    obs::Counter* cache_hits = nullptr;
-    obs::Counter* cache_misses = nullptr;
-    obs::Counter* cache_evictions = nullptr;
-    obs::Gauge* cache_bytes = nullptr;
-    obs::Counter* bloom_checks = nullptr;
-    obs::Counter* bloom_negatives = nullptr;
     obs::Counter* puts = nullptr;
-    obs::Counter* deletes = nullptr;
-    obs::Counter* gets = nullptr;
-    obs::LatencyHistogram* get_ns = nullptr;
     obs::Counter* recovery_records = nullptr;
     obs::Counter* bg_errors = nullptr;
     obs::Counter* flush_retries = nullptr;
@@ -386,18 +343,17 @@ class StorageEngine {
 
   Status ReplayWalIntoMemtable(uint64_t wal_number) AUTHIDX_REQUIRES(mu_);
   Status OpenTables() AUTHIDX_REQUIRES(mu_);
-  // Touches only the passed memtable and out-params — no engine state —
+  // Touches only the passed memtable and out-param — no engine state —
   // so it runs both under mu_ (recovery) and without it (the group
   // leader applying committed records to a pinned memtable).
   Status ApplyRecordToMemtable(MemTable& mem, std::string_view record,
-                               uint64_t* puts, uint64_t* deletes);
+                               uint64_t* puts);
   // Enqueues one write, waits for commit (as leader or group member).
   Status QueueWrite(std::string record) AUTHIDX_EXCLUDES(mu_);
   // Leader-side: stalls/seals until the memtable can take the write.
   // Waits on bg_done_cv_ (releasing mu_) while stalled.
   Status MakeRoomForWriteLocked() AUTHIDX_REQUIRES(mu_);
   Result<FileMeta> WriteTableFromIterator(Iterator* it, int level,
-                                          bool drop_tombstones,
                                           uint64_t file_number);
   Result<std::shared_ptr<TableReader>> OpenTableReader(uint64_t file_number);
   // Rebuilds the published Version from manifest_ + readers_.
@@ -450,7 +406,6 @@ class StorageEngine {
   obs::MetricsRegistry* metrics_;  // == options.metrics or owned_metrics_.
   obs::Logger* log_;  // == options.logger or Logger::Disabled().
   Instruments m_;
-  BlockCache cache_;
 
   // One mutex guards all metadata below plus the writer queue. Reads
   // hold it only long enough to pin {mem_, imm_, version_}; writers

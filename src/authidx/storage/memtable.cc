@@ -4,14 +4,9 @@
 
 namespace authidx::storage {
 
-namespace {
-constexpr char kTagPut = 'P';
-constexpr char kTagDelete = 'D';
-}  // namespace
-
 struct MemTable::Node {
   std::string_view key;
-  std::string_view value;  // Tagged (1 byte tag + payload).
+  std::string_view value;
   int height;
   // Flexible next array, allocated alongside the node in the arena.
   Node* next[1];
@@ -32,12 +27,12 @@ MemTable::MemTable() : rng_(0x6175746878ULL) {
 }
 
 MemTable::Node* MemTable::NewNode(std::string_view key,
-                                  std::string_view tagged_value, int height) {
+                                  std::string_view value, int height) {
   size_t bytes = sizeof(Node) + sizeof(Node*) * (static_cast<size_t>(height) - 1);
   char* mem = arena_.AllocateAligned(bytes);
   Node* node = reinterpret_cast<Node*>(mem);
   node->key = arena_.CopyString(key);
-  node->value = arena_.CopyString(tagged_value);
+  node->value = arena_.CopyString(value);
   node->height = height;
   return node;
 }
@@ -71,69 +66,28 @@ MemTable::Node* MemTable::FindGreaterOrEqual(std::string_view key,
   }
 }
 
-void MemTable::Upsert(std::string_view key, std::string_view tagged_value) {
+void MemTable::Put(std::string_view key, std::string_view value) {
+  WriterMutexLock lock(mu_);
   Node* prev[kMaxHeight];
   for (int i = height_; i < kMaxHeight; ++i) {
     prev[i] = head_;
   }
   Node* node = FindGreaterOrEqual(key, prev);
   if (node != nullptr && node->key == key) {
-    node->value = arena_.CopyString(tagged_value);
+    node->value = arena_.CopyString(value);
     return;
   }
   int height = RandomHeight();
   if (height > height_) {
     height_ = height;
   }
-  Node* fresh = NewNode(key, tagged_value, height);
+  Node* fresh = NewNode(key, value, height);
   for (int i = 0; i < height; ++i) {
     fresh->SetNext(i, prev[i]->Next(i));
     prev[i]->SetNext(i, fresh);
   }
   ++count_;
 }
-
-void MemTable::Put(std::string_view key, std::string_view value) {
-  WriterMutexLock lock(mu_);
-  Upsert(key, TagPut(value));
-}
-
-void MemTable::Delete(std::string_view key) {
-  WriterMutexLock lock(mu_);
-  Upsert(key, TagTombstone());
-}
-
-MemTable::GetResult MemTable::Get(std::string_view key,
-                                  std::string* value) const {
-  ReaderMutexLock lock(mu_);
-  Node* node = FindGreaterOrEqual(key, nullptr);
-  if (node == nullptr || node->key != key) {
-    return GetResult::kNotFound;
-  }
-  if (IsTombstoneValue(node->value)) {
-    return GetResult::kDeleted;
-  }
-  value->assign(StripTag(node->value));
-  return GetResult::kFound;
-}
-
-std::string_view MemTable::StripTag(std::string_view tagged) {
-  return tagged.empty() ? tagged : tagged.substr(1);
-}
-
-bool MemTable::IsTombstoneValue(std::string_view tagged) {
-  return !tagged.empty() && tagged.front() == kTagDelete;
-}
-
-std::string MemTable::TagPut(std::string_view value) {
-  std::string out;
-  out.reserve(value.size() + 1);
-  out.push_back(kTagPut);
-  out.append(value);
-  return out;
-}
-
-std::string MemTable::TagTombstone() { return std::string(1, kTagDelete); }
 
 // Each operation takes the table's lock in shared mode: node links and
 // value views may be written concurrently by Upsert (exclusive), but a

@@ -15,12 +15,12 @@
 namespace authidx::storage {
 
 /// Mutable in-memory write buffer: an arena-backed skiplist from user key
-/// to value-or-tombstone. Overwrites update the node's value view in
-/// place (the superseded copy stays in the arena until the memtable is
-/// dropped, the usual arena trade-off).
+/// to value. Overwrites update the node's value view in place (the
+/// superseded copy stays in the arena until the memtable is dropped, the
+/// usual arena trade-off).
 ///
-/// Thread-safe via an internal SharedMutex: Put/Delete take it
-/// exclusively, Get/iterators/size accessors take it shared, so any
+/// Thread-safe via an internal SharedMutex: Put takes it exclusively,
+/// iterators and size accessors take it shared, so any
 /// number of readers proceed in parallel with each other. The protocol
 /// is machine-checked: every skiplist field is AUTHIDX_GUARDED_BY(mu_)
 /// and the traversal/mutation helpers carry REQUIRES annotations. Arena
@@ -37,15 +37,6 @@ class MemTable {
   /// Inserts or overwrites `key` -> `value`.
   void Put(std::string_view key, std::string_view value);
 
-  /// Records a deletion marker for `key` (shadows older tables).
-  void Delete(std::string_view key);
-
-  /// Lookup outcome distinguishing "no knowledge" from "known deleted".
-  enum class GetResult { kFound, kDeleted, kNotFound };
-
-  /// Point lookup; fills `*value` only for kFound.
-  GetResult Get(std::string_view key, std::string* value) const;
-
   size_t entry_count() const {
     ReaderMutexLock lock(mu_);
     return count_;
@@ -55,16 +46,8 @@ class MemTable {
     return arena_.MemoryUsage();
   }
 
-  /// Iterator yielding keys in order. Tombstones appear with
-  /// `IsTombstoneValue(value()) == true`; callers (flush, merging reads)
-  /// decide how to interpret them.
+  /// Iterator yielding keys in order with their latest values.
   std::unique_ptr<Iterator> NewIterator() const;
-
-  /// Tag helpers for the internal value encoding (1 tag byte + payload).
-  static std::string_view StripTag(std::string_view tagged);
-  static bool IsTombstoneValue(std::string_view tagged);
-  static std::string TagPut(std::string_view value);
-  static std::string TagTombstone();
 
  private:
   struct Node;
@@ -72,14 +55,12 @@ class MemTable {
 
   static constexpr int kMaxHeight = 12;
 
-  Node* NewNode(std::string_view key, std::string_view tagged_value,
-                int height) AUTHIDX_REQUIRES(mu_);
+  Node* NewNode(std::string_view key, std::string_view value, int height)
+      AUTHIDX_REQUIRES(mu_);
   int RandomHeight() AUTHIDX_REQUIRES(mu_);
   /// Returns first node with key >= `key`, filling prev[] when not null.
   Node* FindGreaterOrEqual(std::string_view key, Node** prev) const
       AUTHIDX_REQUIRES_SHARED(mu_);
-  void Upsert(std::string_view key, std::string_view tagged_value)
-      AUTHIDX_REQUIRES(mu_);
 
   mutable SharedMutex mu_;
   Arena arena_ AUTHIDX_GUARDED_BY(mu_);

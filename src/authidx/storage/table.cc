@@ -7,12 +7,14 @@
 namespace authidx::storage {
 
 namespace {
-constexpr uint64_t kTableMagic = 0x617574686964780aULL;  // "authidx\n"
+// "authidx2": names the table format; a file with another magic (an
+// older format) fails Open rather than being misread.
+constexpr uint64_t kTableMagic = 0x6175746869647832ULL;
 constexpr char kBlockRaw = 'R';
 constexpr char kBlockLz = 'L';
 constexpr size_t kBlockTrailerSize = 5;  // type (1B) + masked crc32c (4B).
-// Footer: filter handle + index handle (varints, padded) + magic.
-constexpr size_t kFooterSize = 4 * 10 + 8;
+// Footer: index handle (two varints, padded) + magic.
+constexpr size_t kFooterSize = 2 * 10 + 8;
 }  // namespace
 
 void BlockHandle::EncodeTo(std::string* dst) const {
@@ -49,7 +51,6 @@ Status TableBuilder::Add(std::string_view key, std::string_view value) {
     pending_index_entry_ = false;
   }
   data_block_.Add(key, value);
-  keys_for_filter_.emplace_back(key);
   last_key_.assign(key);
   ++entry_count_;
   if (data_block_.CurrentSizeEstimate() >= options_.block_bytes) {
@@ -106,19 +107,9 @@ Status TableBuilder::Finish() {
     index_block_.Add(pending_index_key_, encoded);
     pending_index_entry_ = false;
   }
-  // Filter block.
-  BloomFilter filter(keys_for_filter_.size(), options_.bloom_bits_per_key);
-  for (const std::string& key : keys_for_filter_) {
-    filter.Add(key);
-  }
-  BlockHandle filter_handle;
-  AUTHIDX_RETURN_NOT_OK(WriteBlock(filter.Serialize(), &filter_handle));
-  // Index block.
   BlockHandle index_handle;
   AUTHIDX_RETURN_NOT_OK(WriteBlock(index_block_.Finish(), &index_handle));
-  // Footer.
   std::string footer;
-  filter_handle.EncodeTo(&footer);
   index_handle.EncodeTo(&footer);
   footer.resize(kFooterSize - 8);  // Pad.
   PutFixed64(&footer, kTableMagic);
@@ -129,11 +120,8 @@ Status TableBuilder::Finish() {
 }
 
 Result<std::unique_ptr<TableReader>> TableReader::Open(
-    Env* env, const std::string& path, BlockCache* cache,
-    uint64_t file_number) {
+    Env* env, const std::string& path) {
   auto reader = std::unique_ptr<TableReader>(new TableReader());
-  reader->cache_ = cache;
-  reader->file_number_ = file_number;
   AUTHIDX_ASSIGN_OR_RETURN(reader->file_, env->NewRandomAccessFile(path));
   AUTHIDX_ASSIGN_OR_RETURN(reader->file_size_, reader->file_->Size());
   if (reader->file_size_ < kFooterSize) {
@@ -147,18 +135,12 @@ Result<std::unique_ptr<TableReader>> TableReader::Open(
     return Status::Corruption("short footer read: " + path);
   }
   if (DecodeFixed64(footer.data() + kFooterSize - 8) != kTableMagic) {
-    return Status::Corruption("bad table magic: " + path);
+    return Status::Corruption(
+        "bad table magic (not a table, or another table format): " + path);
   }
   std::string_view handles = footer;
-  AUTHIDX_ASSIGN_OR_RETURN(BlockHandle filter_handle,
-                           BlockHandle::DecodeFrom(&handles));
   AUTHIDX_ASSIGN_OR_RETURN(BlockHandle index_handle,
                            BlockHandle::DecodeFrom(&handles));
-  AUTHIDX_ASSIGN_OR_RETURN(std::string filter_bytes,
-                           reader->ReadBlockContents(filter_handle));
-  AUTHIDX_ASSIGN_OR_RETURN(BloomFilter filter,
-                           BloomFilter::Deserialize(filter_bytes));
-  reader->filter_ = std::move(filter);
   AUTHIDX_ASSIGN_OR_RETURN(std::string index_bytes,
                            reader->ReadBlockContents(index_handle));
   AUTHIDX_ASSIGN_OR_RETURN(auto index_block,
@@ -210,88 +192,27 @@ Result<std::string> TableReader::ReadBlockContents(
   }
 }
 
-Result<std::shared_ptr<Block>> TableReader::ReadBlock(
-    const BlockHandle& handle, bool fill_cache, bool verify_checksums) const {
-  // Bulk scans (fill_cache == false) bypass the cache entirely so they
-  // neither evict the hot working set nor skew hit statistics. Verified
-  // reads bypass it in both directions: the point is to re-check the
-  // bytes on disk, which a cache hit would short-circuit.
-  BlockCacheKey cache_key;
-  bool use_cache = cache_ != nullptr && fill_cache && !verify_checksums;
-  if (use_cache) {
-    cache_key = BlockCache::MakeKey(file_number_, handle.offset);
-    std::shared_ptr<Block> cached = cache_->Get(cache_key);
-    if (cached != nullptr) {
-      return cached;
-    }
-  }
+Result<std::unique_ptr<Block>> TableReader::ReadBlock(
+    const BlockHandle& handle) const {
   AUTHIDX_ASSIGN_OR_RETURN(std::string contents, ReadBlockContents(handle));
   Result<std::unique_ptr<Block>> parsed = Block::Parse(std::move(contents));
-  if (!parsed.ok()) {
-    if (parsed.status().IsCorruption() && metric_corrupt_blocks_ != nullptr) {
-      metric_corrupt_blocks_->Inc();
-    }
-    return parsed.status();
+  if (!parsed.ok() && parsed.status().IsCorruption() &&
+      metric_corrupt_blocks_ != nullptr) {
+    metric_corrupt_blocks_->Inc();
   }
-  std::shared_ptr<Block> block = std::move(parsed).value();
-  if (use_cache) {
-    cache_->Insert(cache_key, block);
-  }
-  return block;
-}
-
-void TableReader::BindBloomMetrics(obs::Counter* checks,
-                                   obs::Counter* negatives) {
-  metric_bloom_checks_ = checks;
-  metric_bloom_negatives_ = negatives;
+  return parsed;
 }
 
 void TableReader::BindCorruptionMetric(obs::Counter* corrupt_blocks) {
   metric_corrupt_blocks_ = corrupt_blocks;
 }
 
-Result<std::optional<std::string>> TableReader::Get(
-    std::string_view key, bool verify_checksums) const {
-  if (filter_.has_value()) {
-    if (metric_bloom_checks_ != nullptr) {
-      metric_bloom_checks_->Inc();
-    }
-    if (!filter_->MayContain(key)) {
-      bloom_negatives_.fetch_add(1, std::memory_order_relaxed);
-      if (metric_bloom_negatives_ != nullptr) {
-        metric_bloom_negatives_->Inc();
-      }
-      return std::optional<std::string>();
-    }
-  }
-  auto index_iter = index_block_->NewIterator();
-  index_iter->Seek(key);
-  if (!index_iter->Valid()) {
-    return std::optional<std::string>();  // Past the last block.
-  }
-  std::string_view handle_data = index_iter->value();
-  AUTHIDX_ASSIGN_OR_RETURN(BlockHandle handle,
-                           BlockHandle::DecodeFrom(&handle_data));
-  AUTHIDX_ASSIGN_OR_RETURN(
-      auto block, ReadBlock(handle, /*fill_cache=*/true, verify_checksums));
-  auto iter = block->NewIterator();
-  iter->Seek(key);
-  if (iter->Valid() && iter->key() == key) {
-    return std::optional<std::string>(std::string(iter->value()));
-  }
-  AUTHIDX_RETURN_NOT_OK(iter->status());
-  return std::optional<std::string>();
-}
-
 // Two-level iterator: walks the index block, materializing one data
 // block at a time.
 class TableReader::Iter final : public Iterator {
  public:
-  Iter(const TableReader* table, bool fill_cache, bool verify_checksums)
-      : table_(table),
-        fill_cache_(fill_cache),
-        verify_checksums_(verify_checksums),
-        index_iter_(table->index_block_->NewIterator()) {}
+  explicit Iter(const TableReader* table)
+      : table_(table), index_iter_(table->index_block_->NewIterator()) {}
 
   bool Valid() const override {
     return data_iter_ != nullptr && data_iter_->Valid();
@@ -346,8 +267,7 @@ class TableReader::Iter final : public Iterator {
       status_ = handle.status();
       return;
     }
-    Result<std::shared_ptr<Block>> block =
-        table_->ReadBlock(*handle, fill_cache_, verify_checksums_);
+    Result<std::unique_ptr<Block>> block = table_->ReadBlock(*handle);
     if (!block.ok()) {
       status_ = block.status();
       return;
@@ -372,17 +292,14 @@ class TableReader::Iter final : public Iterator {
   }
 
   const TableReader* table_;
-  bool fill_cache_;
-  bool verify_checksums_;
   std::unique_ptr<Iterator> index_iter_;
-  std::shared_ptr<Block> data_block_;
+  std::unique_ptr<Block> data_block_;
   std::unique_ptr<Iterator> data_iter_;
   Status status_;
 };
 
-std::unique_ptr<Iterator> TableReader::NewIterator(
-    bool fill_cache, bool verify_checksums) const {
-  return std::make_unique<Iter>(this, fill_cache, verify_checksums);
+std::unique_ptr<Iterator> TableReader::NewIterator() const {
+  return std::make_unique<Iter>(this);
 }
 
 }  // namespace authidx::storage

@@ -1,18 +1,14 @@
 #ifndef AUTHIDX_STORAGE_TABLE_H_
 #define AUTHIDX_STORAGE_TABLE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 
 #include "authidx/common/env.h"
-#include "authidx/index/bloom.h"
 #include "authidx/obs/metrics.h"
 #include "authidx/storage/block.h"
-#include "authidx/storage/cache.h"
 #include "authidx/storage/iterator.h"
 
 namespace authidx::storage {
@@ -28,20 +24,20 @@ struct BlockHandle {
 
 /// Immutable sorted-run file ("SSTable"):
 ///
-///   [data block]*  [bloom filter block]  [index block]  [footer]
+///   [data block]*  [index block]  [footer]
 ///
 /// Every block is stored as payload | type (1B) | masked crc32c (4B),
 /// where type 'R' is raw and 'L' is LzCompress'd (chosen per block by
-/// whichever is smaller when compression is enabled). The index block
-/// maps each data block's last key to its handle. The fixed-size footer
-/// holds the filter and index handles plus a magic number.
+/// whichever is smaller when compression is enabled). Data blocks hold
+/// the user keys and values verbatim. The index block maps each data
+/// block's last key to its handle. The fixed-size footer holds the index
+/// handle plus a magic number that names the format version.
 class TableBuilder {
  public:
   struct Options {
     size_t block_bytes = 4096;
     int restart_interval = 16;
-    int bloom_bits_per_key = 10;
-    /// Compress data/index/filter blocks when it helps.
+    /// Compress data/index blocks when it helps.
     bool compress = false;
   };
 
@@ -51,7 +47,7 @@ class TableBuilder {
   /// Adds a key strictly greater than all previous keys.
   Status Add(std::string_view key, std::string_view value);
 
-  /// Flushes everything and writes filter/index/footer. The file is NOT
+  /// Flushes everything and writes index/footer. The file is NOT
   /// synced or closed; the caller owns that.
   Status Finish();
 
@@ -68,7 +64,6 @@ class TableBuilder {
   WritableFile* file_;
   BlockBuilder data_block_;
   BlockBuilder index_block_;
-  std::vector<std::string> keys_for_filter_;
   std::string last_key_;
   std::string pending_index_key_;
   BlockHandle pending_handle_;
@@ -79,45 +74,19 @@ class TableBuilder {
   bool finished_ = false;
 };
 
-/// Read side of a table file.
+/// Read side of a table file. Every block is read from disk and
+/// CRC-checked on each visit; nothing is cached.
 class TableReader {
  public:
-  /// Opens and validates footer, index and filter. When `cache` is
-  /// non-null, data blocks are served through it, keyed by
-  /// (`file_number`, offset).
-  static Result<std::unique_ptr<TableReader>> Open(
-      Env* env, const std::string& path, BlockCache* cache = nullptr,
-      uint64_t file_number = 0);
-
-  /// Point lookup. Returns nullopt when definitely absent. The bloom
-  /// filter short-circuits most absent keys without touching data blocks.
-  /// `verify_checksums` forces every block this lookup touches to be
-  /// re-read from disk and CRC-verified (the decoded-block cache is
-  /// bypassed: a cache hit would skip exactly the check requested).
-  Result<std::optional<std::string>> Get(std::string_view key,
-                                         bool verify_checksums = false) const;
+  /// Opens and validates the footer and index block. A file written in
+  /// another table format fails here with a Corruption naming `path`.
+  static Result<std::unique_ptr<TableReader>> Open(Env* env,
+                                                   const std::string& path);
 
   /// Ordered iterator over the whole table. The reader must outlive it.
-  /// `fill_cache` = false (bulk scans, compaction) still reads through
-  /// the cache but does not populate it, so scans cannot evict the hot
-  /// point-lookup working set. `verify_checksums` re-reads and
-  /// CRC-verifies every block from disk, bypassing the cache.
-  std::unique_ptr<Iterator> NewIterator(bool fill_cache = true,
-                                        bool verify_checksums = false) const;
+  std::unique_ptr<Iterator> NewIterator() const;
 
   uint64_t file_bytes() const { return file_size_; }
-
-  /// Bloom filter hit statistics (diagnostics): lookups answered
-  /// "definitely absent" without reading a data block.
-  uint64_t bloom_negative_count() const {
-    return bloom_negatives_.load(std::memory_order_relaxed);
-  }
-
-  /// Mirrors Bloom filter activity into registry counters (owned by the
-  /// caller's MetricsRegistry; either pointer may be null): `checks`
-  /// counts every filter consultation, `negatives` the definite-absent
-  /// short-circuits.
-  void BindBloomMetrics(obs::Counter* checks, obs::Counter* negatives);
 
   /// Mirrors block-integrity failures into a registry counter (owned by
   /// the caller; may be null): incremented once per block whose CRC,
@@ -131,24 +100,13 @@ class TableReader {
 
   /// Reads, verifies and decompresses a block payload.
   Result<std::string> ReadBlockContents(const BlockHandle& handle) const;
-  /// ReadBlockContents + parse, via the cache when configured.
-  /// `verify_checksums` bypasses the cache in both directions so the
-  /// on-disk bytes are re-checked.
-  Result<std::shared_ptr<Block>> ReadBlock(const BlockHandle& handle,
-                                           bool fill_cache = true,
-                                           bool verify_checksums = false)
-      const;
+  /// ReadBlockContents + parse.
+  Result<std::unique_ptr<Block>> ReadBlock(const BlockHandle& handle) const;
 
   std::unique_ptr<RandomAccessFile> file_;
   uint64_t file_size_ = 0;
-  std::shared_ptr<Block> index_block_;
-  std::optional<BloomFilter> filter_;
-  BlockCache* cache_ = nullptr;  // Not owned; may be null.
-  uint64_t file_number_ = 0;
-  mutable std::atomic<uint64_t> bloom_negatives_{0};
-  obs::Counter* metric_bloom_checks_ = nullptr;     // Not owned; may be null.
-  obs::Counter* metric_bloom_negatives_ = nullptr;  // Not owned; may be null.
-  obs::Counter* metric_corrupt_blocks_ = nullptr;   // Not owned; may be null.
+  std::unique_ptr<Block> index_block_;
+  obs::Counter* metric_corrupt_blocks_ = nullptr;  // Not owned; may be null.
 };
 
 }  // namespace authidx::storage

@@ -6,19 +6,12 @@ namespace authidx::storage {
 
 namespace {
 constexpr char kOpPut = 'P';
-constexpr char kOpDelete = 'D';
 }  // namespace
 
 void WriteBatch::Put(std::string_view key, std::string_view value) {
   rep_.push_back(kOpPut);
   PutLengthPrefixed(&rep_, key);
   PutLengthPrefixed(&rep_, value);
-  ++count_;
-}
-
-void WriteBatch::Delete(std::string_view key) {
-  rep_.push_back(kOpDelete);
-  PutLengthPrefixed(&rep_, key);
   ++count_;
 }
 
@@ -29,24 +22,16 @@ void WriteBatch::Clear() {
 
 Status WriteBatch::Iterate(
     std::string_view rep,
-    const std::function<void(std::string_view, std::string_view)>& on_put,
-    const std::function<void(std::string_view)>& on_delete) {
+    const std::function<void(std::string_view, std::string_view)>& on_put) {
   while (!rep.empty()) {
-    char op = rep.front();
+    if (rep.front() != kOpPut) {
+      return Status::Corruption("unknown batch op");
+    }
     rep.remove_prefix(1);
     std::string_view key, value;
     AUTHIDX_RETURN_NOT_OK(GetLengthPrefixed(&rep, &key));
-    switch (op) {
-      case kOpPut:
-        AUTHIDX_RETURN_NOT_OK(GetLengthPrefixed(&rep, &value));
-        on_put(key, value);
-        break;
-      case kOpDelete:
-        on_delete(key);
-        break;
-      default:
-        return Status::Corruption("unknown batch op");
-    }
+    AUTHIDX_RETURN_NOT_OK(GetLengthPrefixed(&rep, &value));
+    on_put(key, value);
   }
   return Status::OK();
 }

@@ -10,16 +10,14 @@
 
 namespace authidx::storage {
 
-/// A group of Put/Delete operations applied atomically: the whole batch
-/// is one WAL record, so recovery either replays all of it or none
-/// (torn-tail discard). Bulk ingest uses this to amortize WAL framing
-/// and syncs.
+/// A group of Put operations applied atomically: the whole batch is one
+/// WAL record, so recovery either replays all of it or none (torn-tail
+/// discard). Bulk ingest uses this to amortize WAL framing and syncs.
 class WriteBatch {
  public:
   WriteBatch() = default;
 
   void Put(std::string_view key, std::string_view value);
-  void Delete(std::string_view key);
   void Clear();
 
   /// Number of operations.
@@ -32,12 +30,12 @@ class WriteBatch {
   /// Approximate in-memory/WAL footprint.
   size_t ByteSize() const { return rep_.size(); }
 
-  /// Decodes `rep` (as produced by this class), invoking the callbacks
-  /// per operation. Returns Corruption on malformed input.
+  /// Decodes `rep` (as produced by this class), invoking `on_put` per
+  /// operation. Returns Corruption on malformed input, including any op
+  /// other than a put.
   static Status Iterate(
       std::string_view rep,
-      const std::function<void(std::string_view, std::string_view)>& on_put,
-      const std::function<void(std::string_view)>& on_delete);
+      const std::function<void(std::string_view, std::string_view)>& on_put);
 
  private:
   std::string rep_;

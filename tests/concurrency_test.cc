@@ -19,6 +19,7 @@
 #include "authidx/core/author_index.h"
 #include "authidx/model/record.h"
 #include "authidx/storage/engine.h"
+#include "scan_util.h"
 
 namespace authidx::storage {
 namespace {
@@ -134,18 +135,14 @@ TEST(EngineConcurrencyTest, ParallelWritersAndReadersWithBackgroundWork) {
         int w = static_cast<int>(probe % kWriters);
         int i = static_cast<int>(probe % kKeysPerWriter);
         probe = probe * 2862933555777941757ULL + 3037000493ULL;
-        auto found = engine->Get(StringPrintf("w%d-key%05d", w, i));
-        ASSERT_TRUE(found.ok()) << found.status();
-        if (found->has_value()) {
-          // A value, once visible, is exactly what its writer put.
-          EXPECT_EQ(**found, StringPrintf("value-%d-%d", w, i));
-        }
-        // Iterators pin their own snapshot; stepping one while flushes
+        // Iterators pin their own snapshot; scanning one while flushes
         // and compactions retire files underneath must stay valid.
-        auto it = engine->NewIterator();
-        it->SeekToFirst();
-        if (it->Valid()) {
-          it->Next();
+        auto state = tests::ScanToMap(*engine->NewIterator());
+        ASSERT_TRUE(state.ok()) << state.status();
+        auto found = state->find(StringPrintf("w%d-key%05d", w, i));
+        if (found != state->end()) {
+          // A value, once visible, is exactly what its writer put.
+          EXPECT_EQ(found->second, StringPrintf("value-%d-%d", w, i));
         }
       }
     });
@@ -160,12 +157,13 @@ TEST(EngineConcurrencyTest, ParallelWritersAndReadersWithBackgroundWork) {
 
   EXPECT_EQ(write_failures.load(), 0);
   EXPECT_TRUE(engine->background_error().ok());
+  auto state = tests::ScanToMap(*engine->NewIterator());
+  ASSERT_TRUE(state.ok()) << state.status();
   for (int w = 0; w < kWriters; ++w) {
     for (int i = 0; i < kKeysPerWriter; ++i) {
-      auto found = engine->Get(StringPrintf("w%d-key%05d", w, i));
-      ASSERT_TRUE(found.ok()) << found.status();
-      ASSERT_TRUE(found->has_value()) << "w" << w << " i" << i;
-      EXPECT_EQ(**found, StringPrintf("value-%d-%d", w, i));
+      auto found = state->find(StringPrintf("w%d-key%05d", w, i));
+      ASSERT_NE(found, state->end()) << "w" << w << " i" << i;
+      EXPECT_EQ(found->second, StringPrintf("value-%d-%d", w, i));
     }
   }
   EXPECT_GT(engine->stats().flushes, 0u);
@@ -306,10 +304,11 @@ TEST(EngineConcurrencyTest, GroupCommitAmortizesSyncsAcrossWriters) {
 
   // Group commit must not have weakened durability: everything acked is
   // there after reopen with no Close (the crash case).
+  auto state = tests::ScanToMap(*engine->NewIterator());
+  ASSERT_TRUE(state.ok()) << state.status();
   for (int w = 0; w < kWriters; ++w) {
     for (int i = 0; i < kWritesEach; ++i) {
-      auto found = engine->Get(StringPrintf("w%d-%04d", w, i));
-      ASSERT_TRUE(found.ok() && found->has_value());
+      ASSERT_EQ(state->count(StringPrintf("w%d-%04d", w, i)), 1u);
     }
   }
   ASSERT_TRUE(engine->Close().ok());

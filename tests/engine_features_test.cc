@@ -1,5 +1,4 @@
-// Tests for the storage-engine extensions: per-block compression and the
-// shared block cache (ablations measured in bench_ablation).
+// Tests for the storage-engine extension of per-block compression.
 
 #include <gtest/gtest.h>
 
@@ -7,6 +6,7 @@
 
 #include "authidx/common/strings.h"
 #include "authidx/storage/engine.h"
+#include "scan_util.h"
 
 namespace authidx::storage {
 namespace {
@@ -69,11 +69,12 @@ TEST_F(EngineFeaturesTest, CompressionShrinksTablesAndRoundTrips) {
     ASSERT_TRUE(engine->Compact().ok());
     compressed_bytes = TableBytes();
     // Everything readable while compressed.
+    auto state = tests::ScanToMap(*engine->NewIterator());
+    ASSERT_TRUE(state.ok()) << state.status();
     for (int i = 0; i < 5000; i += 317) {
-      auto hit = engine->Get(StringPrintf("author/%06d/entry", i));
-      ASSERT_TRUE(hit.ok()) << hit.status();
-      ASSERT_TRUE(hit->has_value()) << i;
-      EXPECT_EQ((*hit)->size(), 200u);
+      auto hit = state->find(StringPrintf("author/%06d/entry", i));
+      ASSERT_NE(hit, state->end()) << i;
+      EXPECT_EQ(hit->second.size(), 200u);
     }
     ASSERT_TRUE(engine->Close().ok());
   }
@@ -82,15 +83,11 @@ TEST_F(EngineFeaturesTest, CompressionShrinksTablesAndRoundTrips) {
   // Reopen compressed store (options do not need to match: block type is
   // self-describing).
   auto engine = Open();
-  EXPECT_EQ((*engine->Get("author/000000/entry"))->size(), 200u);
   // Full scan decodes every compressed block.
-  auto it = engine->NewIterator();
-  size_t count = 0;
-  for (it->SeekToFirst(); it->Valid(); it->Next()) {
-    ++count;
-  }
-  EXPECT_TRUE(it->status().ok()) << it->status();
-  EXPECT_EQ(count, 5000u);
+  auto state = tests::ScanToMap(*engine->NewIterator());
+  ASSERT_TRUE(state.ok()) << state.status();
+  EXPECT_EQ((*state)["author/000000/entry"].size(), 200u);
+  EXPECT_EQ(state->size(), 5000u);
 }
 
 TEST_F(EngineFeaturesTest, MixedCompressedAndRawRuns) {
@@ -110,57 +107,15 @@ TEST_F(EngineFeaturesTest, MixedCompressedAndRawRuns) {
   }
   ASSERT_TRUE(engine->Flush().ok());
   // Reads span a raw run and a compressed run.
-  EXPECT_TRUE((*engine->Get("author/000500/entry")).has_value());
-  EXPECT_TRUE((*engine->Get("author/001500/entry")).has_value());
+  auto state = tests::ScanToMap(*engine->NewIterator());
+  ASSERT_TRUE(state.ok()) << state.status();
+  EXPECT_EQ(state->count("author/000500/entry"), 1u);
+  EXPECT_EQ(state->count("author/001500/entry"), 1u);
   ASSERT_TRUE(engine->Compact().ok());
-  EXPECT_TRUE((*engine->Get("author/000500/entry")).has_value());
-  EXPECT_TRUE((*engine->Get("author/001500/entry")).has_value());
-}
-
-TEST_F(EngineFeaturesTest, BlockCacheServesRepeatedReads) {
-  EngineOptions options;
-  options.block_cache_bytes = 4 << 20;
-  auto engine = Open(options);
-  FillCompressible(engine.get(), 2000);
-  ASSERT_TRUE(engine->Compact().ok());
-  // First read warms the cache; repeats must hit.
-  for (int round = 0; round < 3; ++round) {
-    for (int i = 0; i < 2000; i += 100) {
-      ASSERT_TRUE(
-          (*engine->Get(StringPrintf("author/%06d/entry", i))).has_value());
-    }
-  }
-  EXPECT_GT(engine->block_cache().hits(), engine->block_cache().misses());
-  EXPECT_GT(engine->block_cache().entry_count(), 0u);
-}
-
-TEST_F(EngineFeaturesTest, CacheDisabledStillCorrect) {
-  EngineOptions options;
-  options.block_cache_bytes = 0;
-  auto engine = Open(options);
-  FillCompressible(engine.get(), 1000);
-  ASSERT_TRUE(engine->Compact().ok());
-  for (int round = 0; round < 2; ++round) {
-    EXPECT_TRUE((*engine->Get("author/000123/entry")).has_value());
-  }
-  EXPECT_EQ(engine->block_cache().hits(), 0u);
-}
-
-TEST_F(EngineFeaturesTest, CompactionInvalidatesDeadCacheEntries) {
-  EngineOptions options;
-  options.l0_compaction_trigger = 1000;
-  auto engine = Open(options);
-  FillCompressible(engine.get(), 1000);
-  ASSERT_TRUE(engine->Flush().ok());
-  // Warm the cache from the L0 file.
-  EXPECT_TRUE((*engine->Get("author/000001/entry")).has_value());
-  size_t warmed = engine->block_cache().entry_count();
-  EXPECT_GT(warmed, 0u);
-  ASSERT_TRUE(engine->Compact().ok());
-  // Old file's entries were purged; reads now repopulate from the new
-  // run and remain correct.
-  EXPECT_TRUE((*engine->Get("author/000001/entry")).has_value());
-  EXPECT_EQ((*engine->Get("author/000001/entry"))->size(), 200u);
+  state = tests::ScanToMap(*engine->NewIterator());
+  ASSERT_TRUE(state.ok()) << state.status();
+  EXPECT_EQ(state->count("author/000500/entry"), 1u);
+  EXPECT_EQ(state->count("author/001500/entry"), 1u);
 }
 
 }  // namespace

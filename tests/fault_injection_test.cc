@@ -16,6 +16,7 @@
 #include "authidx/common/strings.h"
 #include "authidx/storage/engine.h"
 #include "fault_env.h"
+#include "scan_util.h"
 
 namespace authidx::storage {
 namespace {
@@ -47,10 +48,14 @@ TEST_F(FaultInjectionTest, PutSurfacesIOErrorWhenWalFails) {
   Status s = (*engine)->Put("after", "fails");
   EXPECT_TRUE(s.IsIOError()) << s;
   // Reads keep working on the pre-fault state — even while the env
-  // still fails, since lookups never touch the write path.
-  EXPECT_EQ(**(*engine)->Get("before"), "ok");
+  // still fails, since scans never touch the write path.
+  auto state = tests::ScanToMap(*(*engine)->NewIterator());
+  ASSERT_TRUE(state.ok()) << state.status();
+  EXPECT_EQ((*state)["before"], "ok");
   faulty_env_.StopFailing();
-  EXPECT_EQ(**(*engine)->Get("before"), "ok");
+  state = tests::ScanToMap(*(*engine)->NewIterator());
+  ASSERT_TRUE(state.ok()) << state.status();
+  EXPECT_EQ((*state)["before"], "ok");
 }
 
 TEST_F(FaultInjectionTest, FlushFailureIsReportedNotSilent) {
@@ -63,7 +68,9 @@ TEST_F(FaultInjectionTest, FlushFailureIsReportedNotSilent) {
   EXPECT_TRUE((*engine)->Flush().IsIOError());
   faulty_env_.StopFailing();
   // Data still served from the memtable.
-  EXPECT_EQ(**(*engine)->Get("k050"), "v");
+  auto state = tests::ScanToMap(*(*engine)->NewIterator());
+  ASSERT_TRUE(state.ok()) << state.status();
+  EXPECT_EQ((*state)["k050"], "v");
 }
 
 TEST_F(FaultInjectionTest, SyncedWritesBeforeFaultSurviveReopen) {
@@ -84,10 +91,12 @@ TEST_F(FaultInjectionTest, SyncedWritesBeforeFaultSurviveReopen) {
   auto engine = StorageEngine::Open(dir_, EngineOptions{});
   ASSERT_TRUE(engine.ok()) << engine.status();
   // All synced pre-fault writes recovered from the WAL.
+  auto state = tests::ScanToMap(*(*engine)->NewIterator());
+  ASSERT_TRUE(state.ok()) << state.status();
   for (int i = 0; i < 50; ++i) {
-    EXPECT_TRUE((*(*engine)->Get(StringPrintf("k%03d", i))).has_value()) << i;
+    EXPECT_EQ(state->count(StringPrintf("k%03d", i)), 1u) << i;
   }
-  EXPECT_FALSE((*(*engine)->Get("lost")).has_value());
+  EXPECT_EQ(state->count("lost"), 0u);
 }
 
 TEST_F(FaultInjectionTest, OpenFailsCleanlyWhenDirUncreatable) {
@@ -117,7 +126,9 @@ TEST_F(FaultInjectionTest, TransientFlushFailureIsRetried) {
   const auto* retries = snap.Find("authidx_retries_total{op=\"flush\"}");
   ASSERT_NE(retries, nullptr);
   EXPECT_EQ(retries->counter, 1u);
-  EXPECT_EQ(**(*engine)->Get("k010"), "v");
+  auto state = tests::ScanToMap(*(*engine)->NewIterator());
+  ASSERT_TRUE(state.ok()) << state.status();
+  EXPECT_EQ((*state)["k010"], "v");
 }
 
 // Exhausting the retry budget on a persistent failure trips the sticky
@@ -165,7 +176,9 @@ TEST_F(FaultInjectionTest, CompactionFailureDegradesEngineEndToEnd) {
   Status rejected = (*engine)->Put("more", "x");
   EXPECT_TRUE(rejected.IsIOError());
   EXPECT_NE(rejected.ToString().find("degraded"), std::string::npos);
-  EXPECT_EQ(**(*engine)->Get("k025"), "v");
+  auto state = tests::ScanToMap(*(*engine)->NewIterator());
+  ASSERT_TRUE(state.ok()) << state.status();
+  EXPECT_EQ((*state)["k025"], "v");
   auto snap = (*engine)->metrics().Snapshot();
   const auto* degraded = snap.Find("authidx_degraded");
   ASSERT_NE(degraded, nullptr);
@@ -194,10 +207,12 @@ TEST_F(FaultInjectionTest, TornFinalWalAppendIsDiscardedOnRecovery) {
   faulty_env_.StopFailing();
   auto engine = StorageEngine::Open(dir_, EngineOptions{});
   ASSERT_TRUE(engine.ok()) << engine.status();
+  auto state = tests::ScanToMap(*(*engine)->NewIterator());
+  ASSERT_TRUE(state.ok()) << state.status();
   for (int i = 0; i < 20; ++i) {
-    EXPECT_TRUE((*(*engine)->Get(StringPrintf("k%03d", i))).has_value()) << i;
+    EXPECT_EQ(state->count(StringPrintf("k%03d", i)), 1u) << i;
   }
-  EXPECT_FALSE((*(*engine)->Get("torn")).has_value());
+  EXPECT_EQ(state->count("torn"), 0u);
   auto report = (*engine)->VerifyIntegrity();
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_TRUE(report->clean());
@@ -231,7 +246,9 @@ TEST_F(FaultInjectionTest, FailedObsoleteFileRemovalIsRetriedLater) {
     ASSERT_TRUE((*engine)->Put(StringPrintf("k%03d", i), "v").ok());
   }
   ASSERT_TRUE((*engine)->Flush().ok());
-  EXPECT_EQ(**(*engine)->Get("k030"), "v");
+  auto state = tests::ScanToMap(*(*engine)->NewIterator());
+  ASSERT_TRUE(state.ok()) << state.status();
+  EXPECT_EQ((*state)["k030"], "v");
   // Only the engine's WAL + table + manifest files remain in the dir:
   // nothing the failed GC left behind outlives the sweep.
   auto listing = faulty_env_.ListDir(dir_);

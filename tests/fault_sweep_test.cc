@@ -1,4 +1,4 @@
-// Crash-consistency sweep: run a fixed put/delete workload against an
+// Crash-consistency sweep: run a fixed put/overwrite workload against an
 // engine whose filesystem dies permanently at write-path op k — for
 // EVERY k from 0 to the op count of a fault-free run — then "crash"
 // (drop the engine), reopen on a healthy filesystem, and check the
@@ -11,6 +11,8 @@
 //     the pre-op or post-op state is accepted for that one key;
 //   * every write issued after the engine degraded was rejected fast
 //     and must NOT appear;
+//   * the reopened store holds exactly those keys: a full scan must
+//     equal the acknowledged state, so extra keys fail too;
 //   * VerifyIntegrity() reports the reopened store clean.
 //
 // A probabilistic variant repeats the same invariant under random fault
@@ -22,12 +24,12 @@
 
 #include <filesystem>
 #include <map>
-#include <optional>
 #include <string>
 
 #include "authidx/common/strings.h"
 #include "authidx/storage/engine.h"
 #include "fault_env.h"
+#include "scan_util.h"
 
 namespace authidx::storage {
 namespace {
@@ -43,13 +45,18 @@ std::string ScratchDir(const char* name) {
 constexpr int kOps = 32;
 constexpr int kKeys = 8;
 
-std::string KeyName(int i) { return StringPrintf("key%02d", i % kKeys); }
+// Every 7th op overwrites a key that an earlier op wrote (op i / 7 is
+// never itself an overwrite slot), so the newest version must shadow an
+// older one that may already sit in a flushed or compacted table.
+bool IsOverwriteOp(int i) { return (i % 7) == 6; }
+
+std::string KeyName(int i) {
+  return StringPrintf("key%02d", (IsOverwriteOp(i) ? i / 7 : i) % kKeys);
+}
 
 std::string ValueName(int i) {
   return StringPrintf("value-%04d-abcdefghijklmnop", i);
 }
-
-bool IsDeleteOp(int i) { return (i % 7) == 6; }
 
 EngineOptions SweepOptions(Env* env) {
   EngineOptions options;
@@ -70,7 +77,6 @@ struct RunResult {
   bool have_indeterminate = false;
   std::string ind_key;
   std::string ind_value;
-  bool ind_is_delete = false;
 };
 
 // Drives the workload until the first failure, then asserts fail-fast
@@ -85,25 +91,17 @@ RunResult RunWorkload(const std::string& dir, tests::FaultEnv* env) {
   r.open_ok = true;
   for (int i = 0; i < kOps; ++i) {
     std::string key = KeyName(i);
-    Status s = IsDeleteOp(i) ? (*engine)->Delete(key)
-                             : (*engine)->Put(key, ValueName(i));
-    if (s.ok()) {
-      if (IsDeleteOp(i)) {
-        r.expected.erase(key);
-      } else {
-        r.expected[key] = ValueName(i);
-      }
+    if ((*engine)->Put(key, ValueName(i)).ok()) {
+      r.expected[key] = ValueName(i);
       continue;
     }
     r.have_indeterminate = true;
     r.ind_key = key;
     r.ind_value = ValueName(i);
-    r.ind_is_delete = IsDeleteOp(i);
     // The error must be sticky: later writes are rejected before they
     // touch the WAL, and reads keep serving.
     EXPECT_TRUE((*engine)->degraded());
     EXPECT_FALSE((*engine)->Put("rejected-sentinel", "x").ok());
-    EXPECT_FALSE((*engine)->Delete("rejected-sentinel").ok());
     break;
   }
   return r;
@@ -114,38 +112,29 @@ void VerifyRecovered(const std::string& dir, const RunResult& r,
                      const std::string& label) {
   auto engine = StorageEngine::Open(dir, EngineOptions{});
   ASSERT_TRUE(engine.ok()) << label << ": reopen failed: " << engine.status();
-  for (int key_index = 0; key_index < kKeys; ++key_index) {
-    std::string key = StringPrintf("key%02d", key_index);
-    auto got = (*engine)->Get(key);
-    ASSERT_TRUE(got.ok()) << label << ": Get(" << key << ")";
-    if (r.have_indeterminate && key == r.ind_key) {
-      // E0 (op never applied) or E1 (its WAL record was durable).
-      auto e0 = r.expected.find(key);
-      bool matches_e0 = e0 != r.expected.end()
-                            ? (got->has_value() && **got == e0->second)
-                            : !got->has_value();
-      bool matches_e1 = r.ind_is_delete
-                            ? !got->has_value()
-                            : (got->has_value() && **got == r.ind_value);
-      EXPECT_TRUE(matches_e0 || matches_e1)
-          << label << ": indeterminate key " << key << " holds neither the "
-          << "pre-op nor the post-op state";
-      continue;
-    }
-    auto want = r.expected.find(key);
-    if (want != r.expected.end()) {
-      ASSERT_TRUE(got->has_value())
-          << label << ": acknowledged write lost for " << key;
-      EXPECT_EQ(**got, want->second) << label << ": wrong value for " << key;
-    } else {
-      EXPECT_FALSE(got->has_value())
-          << label << ": unexpected value for " << key;
-    }
-  }
-  auto sentinel = (*engine)->Get("rejected-sentinel");
-  ASSERT_TRUE(sentinel.ok());
-  EXPECT_FALSE(sentinel->has_value())
+  auto scanned = tests::ScanToMap(*(*engine)->NewIterator());
+  ASSERT_TRUE(scanned.ok()) << label << ": scan: " << scanned.status();
+  std::map<std::string, std::string> got = std::move(scanned).value();
+  std::map<std::string, std::string> want = r.expected;
+  EXPECT_EQ(got.count("rejected-sentinel"), 0u)
       << label << ": rejected write became durable";
+  if (r.have_indeterminate) {
+    // E0 (op never applied) or E1 (its WAL record was durable).
+    auto held = got.find(r.ind_key);
+    auto e0 = want.find(r.ind_key);
+    bool matches_e0 = e0 != want.end()
+                          ? (held != got.end() && held->second == e0->second)
+                          : held == got.end();
+    bool matches_e1 = held != got.end() && held->second == r.ind_value;
+    EXPECT_TRUE(matches_e0 || matches_e1)
+        << label << ": indeterminate key " << r.ind_key
+        << " holds neither the pre-op nor the post-op state";
+    got.erase(r.ind_key);
+    want.erase(r.ind_key);
+  }
+  // Every other key holds exactly its last acknowledged value: a lost
+  // write, a wrong value, or an extra key all fail here.
+  EXPECT_EQ(got, want) << label;
   auto report = (*engine)->VerifyIntegrity();
   ASSERT_TRUE(report.ok()) << label << ": " << report.status();
   EXPECT_TRUE(report->clean()) << label << ": integrity scan found damage ("

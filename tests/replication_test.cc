@@ -14,6 +14,7 @@
 
 #include <chrono>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -27,6 +28,7 @@
 #include "authidx/parse/tsv.h"
 #include "authidx/storage/engine.h"
 #include "fault_env.h"
+#include "scan_util.h"
 
 namespace authidx::net {
 namespace {
@@ -283,6 +285,36 @@ TEST(ReplicationTest, FollowerResultCacheInvalidatedByApply) {
   EXPECT_GE(replica.CounterValue("authidx_result_cache_invalidations_total"),
             1u);
   replica.ExpectClean();
+}
+
+// The engine has no deletes, so no primary can ship one: a delete
+// record, or a batch holding a delete op, is rejected before it reaches
+// the follower's WAL or memtable.
+TEST(ReplicationTest, FollowerRejectsShippedDeleteOps) {
+  std::string dir = ScratchDir("repl_reject_delete");
+  storage::EngineOptions options;
+  options.apply_only = true;
+  auto engine = storage::StorageEngine::Open(dir, options);
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  const std::string put = storage::StorageEngine::EncodePutRecord("k", "v");
+  ASSERT_TRUE((*engine)->ApplyReplicated(put).ok());
+  // 'D' + length-prefixed key: the retired delete record.
+  const std::string del("D\x01k", 3);
+  Status rejected = (*engine)->ApplyReplicated(del);
+  EXPECT_TRUE(rejected.IsCorruption()) << rejected;
+  // 'B' + batch ops: a put op (same bytes as a put record), then a
+  // delete op.
+  rejected = (*engine)->ApplyReplicated("B" + put + del);
+  EXPECT_TRUE(rejected.IsCorruption()) << rejected;
+  EXPECT_EQ((*engine)->stats().puts, 1u);
+  const std::map<std::string, std::string> only_put = {{"k", "v"}};
+  EXPECT_EQ(*tests::ScanToMap(*(*engine)->NewIterator()), only_put);
+  ASSERT_TRUE((*engine)->Close().ok());
+  engine = storage::StorageEngine::Open(dir, options);
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  EXPECT_EQ(*tests::ScanToMap(*(*engine)->NewIterator()), only_put);
+  ASSERT_TRUE((*engine)->Close().ok());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ReplicationTest, FollowerServerRejectsMutationsAsNotPrimary) {

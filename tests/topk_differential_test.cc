@@ -8,12 +8,12 @@
 
 #include <algorithm>
 #include <bit>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "authidx/common/random.h"
 #include "authidx/index/inverted.h"
-#include "authidx/index/postings.h"
 #include "authidx/index/ranker.h"
 #include "authidx/text/tokenize.h"
 #include "authidx/workload/namegen.h"
@@ -32,7 +32,11 @@ std::vector<ScoredDoc> ExhaustiveReference(
   }
   std::vector<EntryId> matches = index.GetDocs(terms[0]);
   for (size_t i = 1; i < terms.size(); ++i) {
-    matches = Intersect(matches, index.GetDocs(terms[i]));
+    std::vector<EntryId> next = index.GetDocs(terms[i]);
+    std::vector<EntryId> both;
+    std::set_intersection(matches.begin(), matches.end(), next.begin(),
+                          next.end(), std::back_inserter(both));
+    matches = std::move(both);
   }
   std::vector<ScoredDoc> ranked =
       RankBm25(index, terms, index.doc_count());

@@ -7,14 +7,17 @@
 
 #include "authidx/common/strings.h"
 #include "authidx/storage/engine.h"
+#include "scan_util.h"
 
 namespace authidx::storage {
 namespace {
 
+using Contents = std::map<std::string, std::string>;
+
 TEST(WriteBatchTest, BuildAndIterate) {
   WriteBatch batch;
   batch.Put("a", "1");
-  batch.Delete("b");
+  batch.Put("b", "2");
   batch.Put("c", "3");
   EXPECT_EQ(batch.count(), 3u);
   std::vector<std::string> ops;
@@ -23,14 +26,11 @@ TEST(WriteBatchTest, BuildAndIterate) {
                   [&](std::string_view k, std::string_view v) {
                     ops.push_back("put " + std::string(k) + "=" +
                                   std::string(v));
-                  },
-                  [&](std::string_view k) {
-                    ops.push_back("del " + std::string(k));
                   })
                   .ok());
   ASSERT_EQ(ops.size(), 3u);
   EXPECT_EQ(ops[0], "put a=1");
-  EXPECT_EQ(ops[1], "del b");
+  EXPECT_EQ(ops[1], "put b=2");
   EXPECT_EQ(ops[2], "put c=3");
 }
 
@@ -44,12 +44,15 @@ TEST(WriteBatchTest, ClearResets) {
 
 TEST(WriteBatchTest, IterateRejectsGarbage) {
   auto nop_put = [](std::string_view, std::string_view) {};
-  auto nop_del = [](std::string_view) {};
-  EXPECT_TRUE(WriteBatch::Iterate("X", nop_put, nop_del).IsCorruption());
+  EXPECT_TRUE(WriteBatch::Iterate("X", nop_put).IsCorruption());
   WriteBatch batch;
   batch.Put("key", "value");
   std::string truncated = batch.rep().substr(0, batch.rep().size() - 2);
-  EXPECT_TRUE(WriteBatch::Iterate(truncated, nop_put, nop_del).IsCorruption());
+  EXPECT_TRUE(WriteBatch::Iterate(truncated, nop_put).IsCorruption());
+  // A well-formed delete op ('D' + length-prefixed key), as the retired
+  // WriteBatch::Delete encoded it, after a valid put.
+  std::string with_delete = batch.rep() + std::string("D\x01k", 3);
+  EXPECT_TRUE(WriteBatch::Iterate(with_delete, nop_put).IsCorruption());
 }
 
 TEST(WriteBatchTest, BinarySafety) {
@@ -63,8 +66,7 @@ TEST(WriteBatchTest, BinarySafety) {
                     EXPECT_EQ(k, key);
                     EXPECT_EQ(v, value);
                     seen = true;
-                  },
-                  [](std::string_view) {})
+                  })
                   .ok());
   EXPECT_TRUE(seen);
 }
@@ -92,12 +94,11 @@ TEST_F(BatchEngineTest, ApplyIsVisibleImmediately) {
   WriteBatch batch;
   batch.Put("a", "1");
   batch.Put("b", "2");
-  batch.Delete("a");
+  batch.Put("a", "3");  // Later ops in one batch win.
   ASSERT_TRUE(engine->Apply(batch).ok());
-  EXPECT_FALSE((*engine->Get("a")).has_value());
-  EXPECT_EQ(**engine->Get("b"), "2");
-  EXPECT_EQ(engine->stats().puts, 2u);
-  EXPECT_EQ(engine->stats().deletes, 1u);
+  EXPECT_EQ(*tests::ScanToMap(*engine->NewIterator()),
+            (Contents{{"a", "3"}, {"b", "2"}}));
+  EXPECT_EQ(engine->stats().puts, 3u);
 }
 
 TEST_F(BatchEngineTest, EmptyBatchIsNoop) {
@@ -116,14 +117,17 @@ TEST_F(BatchEngineTest, BatchSurvivesWalRecovery) {
     for (int i = 0; i < 100; ++i) {
       batch.Put(StringPrintf("key%03d", i), StringPrintf("v%d", i));
     }
-    batch.Delete("key050");
+    batch.Put("key050", "rewritten");
     ASSERT_TRUE(engine->Apply(batch).ok());
     ASSERT_TRUE(engine->Close().ok());
   }
   auto engine = Open();
-  EXPECT_EQ(**engine->Get("key000"), "v0");
-  EXPECT_EQ(**engine->Get("key099"), "v99");
-  EXPECT_FALSE((*engine->Get("key050")).has_value());
+  auto state = tests::ScanToMap(*engine->NewIterator());
+  ASSERT_TRUE(state.ok()) << state.status();
+  EXPECT_EQ(state->size(), 100u);
+  EXPECT_EQ((*state)["key000"], "v0");
+  EXPECT_EQ((*state)["key099"], "v99");
+  EXPECT_EQ((*state)["key050"], "rewritten");
 }
 
 TEST_F(BatchEngineTest, TornBatchIsAllOrNothing) {
@@ -166,11 +170,8 @@ TEST_F(BatchEngineTest, TornBatchIsAllOrNothing) {
   EXPECT_TRUE(engine->stats().wal_tail_corruption);
   // The single put before the batch survived; the torn batch vanished
   // entirely (no partial application).
-  EXPECT_EQ(**engine->Get("before"), "1");
-  for (int i = 0; i < 50; ++i) {
-    EXPECT_FALSE((*engine->Get(StringPrintf("batch%03d", i))).has_value())
-        << i;
-  }
+  EXPECT_EQ(*tests::ScanToMap(*engine->NewIterator()),
+            (Contents{{"before", "1"}}));
 }
 
 TEST_F(BatchEngineTest, LargeBatchTriggersFlush) {
@@ -183,8 +184,11 @@ TEST_F(BatchEngineTest, LargeBatchTriggersFlush) {
   }
   ASSERT_TRUE(engine->Apply(batch).ok());
   EXPECT_GT(engine->stats().flushes, 0u);
-  EXPECT_EQ(**engine->Get("key00000"), std::string(64, 'v'));
-  EXPECT_EQ(**engine->Get("key01999"), std::string(64, 'v'));
+  auto state = tests::ScanToMap(*engine->NewIterator());
+  ASSERT_TRUE(state.ok()) << state.status();
+  EXPECT_EQ(state->size(), 2000u);
+  EXPECT_EQ((*state)["key00000"], std::string(64, 'v'));
+  EXPECT_EQ((*state)["key01999"], std::string(64, 'v'));
 }
 
 }  // namespace

@@ -5,10 +5,13 @@ Runs every `bench_*` binary under the build directory with
 `--benchmark_format=json` and merges the outputs into a single file,
 `BENCH_<date>.json` at the repo root by default. The merged document
 keeps one machine `context` (they are identical across binaries on one
-host) and groups the per-benchmark entries by binary:
+host), a `provenance` block naming the commit, build and host that
+produced the numbers, and groups the per-benchmark entries by binary:
 
     {
       "date": "2026-08-06",
+      "provenance": {"git_sha": ..., "git_dirty": ..., "build_type": ...,
+                     "compiler": ..., "nproc": ...},
       "context": { ...google-benchmark context of the first binary... },
       "benchmarks": {
         "bench_coding": [ {"name": ..., "real_time": ...}, ... ],
@@ -37,6 +40,7 @@ Exit status: 0 when every selected binary ran and parsed, 1 otherwise
 import argparse
 import datetime
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -53,6 +57,50 @@ def find_bench_binaries(build_dir: Path):
             if path.stat().st_mode & 0o111:
                 binaries.append(path)
     return binaries
+
+
+def read_cmake_cache(build_dir: Path):
+    """KEY -> value for every `KEY:TYPE=value` line of CMakeCache.txt."""
+    cache = {}
+    try:
+        lines = (build_dir / "CMakeCache.txt").read_text().splitlines()
+    except OSError:
+        return cache
+    for line in lines:
+        if line.startswith(("#", "//")) or "=" not in line:
+            continue
+        key_type, value = line.split("=", 1)
+        cache[key_type.split(":", 1)[0]] = value
+    return cache
+
+
+def command_output(cmd):
+    """First line of `cmd`'s stdout; None when it fails or prints nothing."""
+    try:
+        proc = subprocess.run(cmd, capture_output=True, text=True,
+                              check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    lines = proc.stdout.strip().splitlines()
+    return lines[0] if lines else None
+
+
+def provenance(root: Path, build_dir: Path):
+    """Which commit, build and host produced the numbers."""
+    cache = read_cmake_cache(build_dir)
+    compiler = cache.get("CMAKE_CXX_COMPILER")
+    sha = command_output(["git", "-C", str(root), "rev-parse", "HEAD"])
+    # First line of the tracked changes; None when there are none.
+    first_change = command_output(["git", "-C", str(root), "status",
+                                   "--porcelain", "--untracked-files=no"])
+    return {
+        "git_sha": sha or "unknown",
+        "git_dirty": None if sha is None else first_change is not None,
+        "build_type": cache.get("CMAKE_BUILD_TYPE") or "unknown",
+        "compiler": (command_output([compiler, "--version"])
+                     if compiler else None) or "unknown",
+        "nproc": os.cpu_count(),
+    }
 
 
 def run_one(binary: Path, benchmark_filter: str, timeout_s: int):
@@ -174,7 +222,8 @@ def main() -> int:
     date = datetime.date.today().isoformat()
     out_path = Path(args.out) if args.out else root / f"BENCH_{date}.json"
 
-    merged = {"date": date, "context": None, "benchmarks": {}}
+    merged = {"date": date, "provenance": provenance(root, build_dir),
+              "context": None, "benchmarks": {}}
     failures = []
     for binary in binaries:
         print(f"running {binary.name} ...", flush=True)
