@@ -31,7 +31,7 @@ Usage:
     python3 tools/bench_json.py                      # full suite
     python3 tools/bench_json.py --only bench_coding,bench_collation
     python3 tools/bench_json.py --benchmark-filter 'Varint' --out /tmp/b.json
-    python3 tools/bench_json.py --diff BENCH_2026-08-06.json
+    python3 tools/bench_json.py --diff BENCH_2026-10-17.json
 
 Exit status: 0 when every selected binary ran and parsed, 1 otherwise
 (partial results are still written so a long run is never wasted).
