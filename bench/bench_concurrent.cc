@@ -35,7 +35,6 @@ void BM_GroupCommitSyncedWrites(benchmark::State& state) {
   static StorageEngine* engine = [] {
     EngineOptions options;
     options.sync_writes = true;
-    options.memtable_bytes = 8 << 20;
     auto opened = StorageEngine::Open(dir, options);
     return std::move(opened).value().release();
   }();

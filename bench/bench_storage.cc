@@ -1,5 +1,5 @@
 // B7: storage engine — WAL append (buffered vs synced), engine fill,
-// full scans and compaction (DESIGN.md §3).
+// and the replay pass that every open runs (DESIGN.md §3).
 
 #include <benchmark/benchmark.h>
 
@@ -55,9 +55,7 @@ void BM_EngineFill(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     std::string dir = FreshDir("fill");
-    EngineOptions options;
-    options.memtable_bytes = 1 << 20;
-    auto engine = StorageEngine::Open(dir, options);
+    auto engine = StorageEngine::Open(dir, EngineOptions{});
     state.ResumeTiming();
     for (size_t i = 0; i < n; ++i) {
       AUTHIDX_CHECK_OK((*engine)->Put(StringPrintf("key%010zu", i),
@@ -75,69 +73,48 @@ void BM_EngineFill(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineFill)->Arg(10000)->Arg(100000)->Unit(benchmark::kMillisecond);
 
-// Shared read-only engine for the scan benchmark.
-struct ReadFixture {
+// Shared read-only log for the replay benchmark: 200 000 puts, half as
+// one bulk batch (a record far larger than the read buffer, like a bulk
+// load) and half as single puts, in two segments.
+struct ReplayFixture {
   std::string dir;
   std::unique_ptr<StorageEngine> engine;
   size_t n = 200000;
 
-  ReadFixture() {
-    dir = FreshDir("read");
-    EngineOptions options;
-    options.memtable_bytes = 1 << 20;
-    auto opened = StorageEngine::Open(dir, options);
-    engine = std::move(opened).value();
-    for (size_t i = 0; i < n; ++i) {
+  ReplayFixture() {
+    dir = FreshDir("replay");
+    engine = std::move(StorageEngine::Open(dir, EngineOptions{})).value();
+    WriteBatch batch;
+    for (size_t i = 0; i < n / 2; ++i) {
+      batch.Put(StringPrintf("key%010zu", i), "value-payload-0123456789");
+    }
+    AUTHIDX_CHECK_OK(engine->Apply(batch));
+    AUTHIDX_CHECK_OK(engine->Flush());
+    for (size_t i = n / 2; i < n; ++i) {
       AUTHIDX_CHECK_OK(engine->Put(StringPrintf("key%010zu", i),
                                    "value-payload-0123456789"));
     }
-    AUTHIDX_CHECK_OK(engine->Compact());
   }
 };
 
-ReadFixture& Reads() {
-  static ReadFixture* fixture = new ReadFixture();
-  return *fixture;
-}
-
-void BM_EngineFullScan(benchmark::State& state) {
-  ReadFixture& f = Reads();
+// One Replay pass (CRC check + decode of every put), the storage part
+// of every restart.
+void BM_EngineReplay(benchmark::State& state) {
+  static ReplayFixture* f = new ReplayFixture();
   for (auto _ : state) {
-    auto it = f.engine->NewIterator();
     size_t count = 0;
-    for (it->SeekToFirst(); it->Valid(); it->Next()) {
-      ++count;
-    }
+    Result<WalScan> replayed =
+        f->engine->Replay([&count](std::string_view, std::string_view) {
+          ++count;
+          return Status::OK();
+        });
+    AUTHIDX_CHECK_OK(replayed.status());
     benchmark::DoNotOptimize(count);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(f.n));
+                          static_cast<int64_t>(f->n));
 }
-BENCHMARK(BM_EngineFullScan)->Unit(benchmark::kMillisecond);
-
-void BM_CompactionThroughput(benchmark::State& state) {
-  for (auto _ : state) {
-    state.PauseTiming();
-    std::string dir = FreshDir("compact");
-    EngineOptions options;
-    options.memtable_bytes = 256 * 1024;
-    options.l0_compaction_trigger = 1000;  // Manual compaction only.
-    auto engine = StorageEngine::Open(dir, options);
-    for (size_t i = 0; i < 50000; ++i) {
-      AUTHIDX_CHECK_OK((*engine)->Put(StringPrintf("key%010zu", i * 3 % 60000), "v"));
-    }
-    AUTHIDX_CHECK_OK((*engine)->Flush());
-    state.ResumeTiming();
-    AUTHIDX_CHECK_OK((*engine)->Compact());
-    state.PauseTiming();
-    AUTHIDX_CHECK_OK((*engine)->Close());
-    engine->reset();
-    std::filesystem::remove_all(dir);
-    state.ResumeTiming();
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 50000);
-}
-BENCHMARK(BM_CompactionThroughput)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_EngineReplay)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace authidx::storage

@@ -6,7 +6,6 @@
 //   authidx_cli export  --db DIR --format csv|json   dump the catalog
 //   authidx_cli stats   --db DIR [--metrics]         corpus statistics
 //   authidx_cli trace   --db DIR 'QUERY'             query with span tree
-//   authidx_cli compact --db DIR                     storage maintenance
 //   authidx_cli serve   --db DIR --port N            HTTP observability
 //   authidx_cli slowlog --db DIR 'QUERY'...          slow-query capture
 //   authidx_cli remote  --port N <op> [args]         talk to authidx_server
@@ -60,9 +59,8 @@ int Usage() {
       "  stats   --db DIR [--metrics]\n"
       "                             --metrics: Prometheus text exposition\n"
       "  trace   --db DIR 'QUERY'   run QUERY and print its span tree\n"
-      "  compact --db DIR\n"
       "  verify  --db DIR           scan the store, re-checking every\n"
-      "                             block checksum and the manifest\n"
+      "                             log record's checksum\n"
       "  serve   --db DIR [--port N] [--slow-ms N]\n"
       "                             HTTP /metrics /healthz /varz /slowlog\n"
       "  slowlog --db DIR [--slow-ms N] 'QUERY'...\n"
@@ -530,8 +528,8 @@ int main(int argc, char** argv) {
     }
     std::printf("%s", core::ComputeStats(**catalog).ToString().c_str());
     auto storage = (*catalog)->StorageStats();
-    std::printf("storage: l0=%d l1=%d puts=%llu\n", storage.l0_files,
-                storage.l1_files,
+    std::printf("storage: segments=%llu puts=%llu\n",
+                static_cast<unsigned long long>(storage.segments),
                 static_cast<unsigned long long>(storage.puts));
     return 0;
   }
@@ -544,38 +542,13 @@ int main(int argc, char** argv) {
   if (args.command == "slowlog") {
     return RunSlowlog(catalog->get(), args);
   }
-  if (args.command == "compact") {
-    Status s = (*catalog)->CompactStorage();
-    if (!s.ok()) {
+  if (args.command == "verify") {
+    if (Status s = (*catalog)->VerifyStorageIntegrity(); !s.ok()) {
       return Fail(s);
     }
-    std::printf("compacted\n");
-    return 0;
-  }
-  if (args.command == "verify") {
-    Result<storage::IntegrityReport> report =
-        (*catalog)->VerifyStorageIntegrity();
-    if (!report.ok()) {
-      return Fail(report.status());
-    }
-    std::printf("manifest: %s\n", report->manifest_status.ok()
-                                      ? "ok"
-                                      : report->manifest_status.ToString()
-                                            .c_str());
-    for (const storage::FileIntegrity& file : report->files) {
-      std::printf("table %llu (level %d): %s (%llu entries)\n",
-                  static_cast<unsigned long long>(file.file_number),
-                  file.level,
-                  file.status.ok() ? "ok" : file.status.ToString().c_str(),
-                  static_cast<unsigned long long>(file.entries_scanned));
-    }
-    if (!report->clean()) {
-      std::fprintf(stderr, "error: integrity scan found damage (%llu "
-                   "corrupt table(s))\n",
-                   static_cast<unsigned long long>(report->corrupt_files));
-      return 2;
-    }
-    std::printf("verified: %zu table(s) clean\n", report->files.size());
+    std::printf("verified: %llu log segment(s) clean\n",
+                static_cast<unsigned long long>(
+                    (*catalog)->StorageStats().segments));
     return 0;
   }
   return Usage();

@@ -15,9 +15,10 @@
 // so a load balancer drains reads from a replica that is falling
 // behind. /metrics and /varz expose the authidx_repl_* instruments.
 //
-// --reseed wipes the local store before starting, forcing a fresh
-// snapshot bootstrap — the recovery path for a replica whose
-// replication cursor the primary can no longer serve.
+// --reseed wipes the local store before starting, so the follower
+// re-reads the primary's log from its first segment — the recovery
+// path for a replica whose replication cursor the primary can no
+// longer serve.
 //
 // Exit status: 0 on clean shutdown, 1 on usage errors, 2 on runtime
 // failures.
@@ -57,8 +58,8 @@ int Usage() {
       "  --io-timeout-ms N   socket timeout toward the primary "
       "(default 5000)\n"
       "  --workers N         request worker threads (default 2)\n"
-      "  --reseed            wipe the local store first and bootstrap "
-      "from a fresh snapshot\n"
+      "  --reseed            wipe the local store first and re-read "
+      "the primary's log\n"
       "  --log-level L       debug|info|warn|error (default info)\n"
       "  --log-file PATH     also log to a rotating file\n");
   return 1;
@@ -178,7 +179,8 @@ bool ParseArgs(int argc, char** argv, Args* args) {
 }
 
 // Removes every file in the replica's store directory so the next
-// open recovers empty and the follower bootstraps from a snapshot.
+// open recovers empty and the follower reads the primary's log from
+// the start.
 Status WipeStore(const std::string& dir) {
   Env* env = Env::Default();
   Result<std::vector<std::string>> names = env->ListDir(dir);

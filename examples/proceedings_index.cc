@@ -1,6 +1,6 @@
 // Proceedings-scale round trip: generates a synthetic corpus the size of
 // a large conference proceedings (the VLDB 2000 substitution; DESIGN.md
-// §4), persists it through the LSM storage engine, reopens the
+// §4), persists it through the append-only log, reopens the
 // directory, and runs a query batch over the recovered catalog.
 //
 //   ./proceedings_index [--entries N] [--dir PATH]
@@ -50,10 +50,8 @@ int main(int argc, char** argv) {
   // Phase 1: ingest through the storage engine.
   auto start = std::chrono::steady_clock::now();
   {
-    storage::EngineOptions eopt;
-    eopt.memtable_bytes = 2 * 1024 * 1024;
     Result<std::unique_ptr<core::AuthorIndex>> catalog =
-        core::AuthorIndex::OpenPersistent(dir, eopt);
+        core::AuthorIndex::OpenPersistent(dir);
     if (!catalog.ok()) {
       std::fprintf(stderr, "open failed: %s\n",
                    catalog.status().ToString().c_str());
@@ -64,19 +62,16 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "ingest failed: %s\n", ingest.ToString().c_str());
       return 1;
     }
-    Status compact = (*catalog)->CompactStorage();
-    if (!compact.ok()) {
-      std::fprintf(stderr, "compact failed: %s\n",
-                   compact.ToString().c_str());
+    Status flush = (*catalog)->Flush();
+    if (!flush.ok()) {
+      std::fprintf(stderr, "flush failed: %s\n", flush.ToString().c_str());
       return 1;
     }
     auto stats = (*catalog)->StorageStats();
     std::printf(
-        "ingested+persisted in %.2fs (%.0f entries/s); flushes=%llu "
-        "compactions=%llu\n",
+        "ingested+persisted in %.2fs (%.0f entries/s); log segments=%llu\n",
         Seconds(start), static_cast<double>(entries) / Seconds(start),
-        static_cast<unsigned long long>(stats.flushes),
-        static_cast<unsigned long long>(stats.compactions));
+        static_cast<unsigned long long>(stats.segments));
   }
 
   // Phase 2: reopen (recovery) and query.

@@ -9,7 +9,8 @@
 
 namespace authidx {
 
-/// Bump allocator for node-heavy data structures (skiplist memtable).
+/// Bump allocator for many small, immortal copies (the catalog's sort
+/// keys).
 /// Allocations live until the arena is destroyed; there is no per-object
 /// free. Not thread-safe.
 class Arena {
@@ -29,8 +30,7 @@ class Arena {
   /// Copies `s` into the arena and returns a view of the stable copy.
   std::string_view CopyString(std::string_view s);
 
-  /// Total bytes handed to callers plus block bookkeeping; used by the
-  /// memtable to decide when to flush.
+  /// Total bytes handed to callers plus block bookkeeping.
   size_t MemoryUsage() const { return memory_usage_; }
 
  private:

@@ -6,6 +6,7 @@
 #include <tuple>
 
 #include "authidx/common/coding.h"
+#include "authidx/common/strings.h"
 #include "authidx/model/serde.h"
 #include "authidx/text/collate.h"
 #include "authidx/text/distance.h"
@@ -55,6 +56,10 @@ AuthorIndex::AuthorIndex()
       "Queries exceeding the slow-query threshold");
   query_ns_ = metrics_->RegisterLatencyHistogram(
       "authidx_query_duration_ns", "End-to-end query execution latency, ns");
+  rebuild_ns_ = metrics_->RegisterLatencyHistogram(
+      "authidx_catalog_open_duration_ns",
+      "Time from OpenPersistent's start to a rebuilt catalog (engine open "
+      "plus log replay into the indexes), ns");
   exec_obs_.stage_plan_ns = metrics_->RegisterLatencyHistogram(
       "authidx_query_stage_plan_duration_ns",
       "Query planning stage latency, ns");
@@ -97,6 +102,7 @@ std::unique_ptr<AuthorIndex> AuthorIndex::Create() {
 
 Result<std::unique_ptr<AuthorIndex>> AuthorIndex::OpenPersistent(
     const std::string& dir, storage::EngineOptions options) {
+  const uint64_t start_ns = obs::MonotonicNowNs();
   auto catalog = std::unique_ptr<AuthorIndex>(new AuthorIndex());
   if (options.metrics == nullptr) {
     // Storage metrics land in the catalog's registry so one snapshot
@@ -107,26 +113,42 @@ Result<std::unique_ptr<AuthorIndex>> AuthorIndex::OpenPersistent(
     // Catalog-level events (slow queries) share the engine's logger.
     catalog->log_ = options.logger;
   }
-  AUTHIDX_ASSIGN_OR_RETURN(catalog->engine_,
-                           storage::StorageEngine::Open(dir, options));
-  // Rebuild the in-memory indexes from storage, in id (ingest) order —
-  // entry keys are big-endian ids, so engine iteration order is id order.
-  auto it = catalog->engine_->NewIterator();
+  // Rebuild the in-memory indexes from the engine's open scan, one
+  // pass over the log. Ids are assigned in log order, so the n-th entry
+  // put must carry id n.
+  AuthorIndex* c = catalog.get();
+  const storage::WalOpSink rebuild =
+      [c](std::string_view key, std::string_view value) -> Status {
+    // Open runs under index_mu_, held exclusively below.
+    c->index_mu_.AssertHeld();
+    EntryId id = 0;
+    if (!ParseEntryKey(key, &id)) {
+      return Status::OK();
+    }
+    if (id != c->entries_.size()) {
+      return Status::Corruption(StringPrintf(
+          "entry ids in the log are not dense: expected %zu, found %u",
+          c->entries_.size(), id));
+    }
+    AUTHIDX_ASSIGN_OR_RETURN(Entry entry, DecodeEntryExact(value));
+    c->IndexEntry(std::move(entry));
+    return Status::OK();
+  };
   {
     // Exclusive for the whole rebuild: nothing else can reference the
     // catalog yet, but IndexEntry's contract (REQUIRES(index_mu_)) is
     // uniform whether it runs under recovery or a live Add.
-    WriterMutexLock lock(catalog->index_mu_);
-    for (it->SeekToFirst(); it->Valid(); it->Next()) {
-      std::string_view key = it->key();
-      if (key.empty() || key.front() != 'e') {
-        continue;
-      }
-      AUTHIDX_ASSIGN_OR_RETURN(Entry entry, DecodeEntryExact(it->value()));
-      catalog->IndexEntry(std::move(entry));
-    }
+    WriterMutexLock lock(c->index_mu_);
+    AUTHIDX_ASSIGN_OR_RETURN(
+        c->engine_, storage::StorageEngine::Open(dir, options, &rebuild));
   }
-  AUTHIDX_RETURN_NOT_OK(it->status());
+  const uint64_t duration_ns = obs::MonotonicNowNs() - start_ns;
+  catalog->rebuild_ns_->Record(duration_ns);
+  catalog->log_->Log(obs::LogLevel::kInfo, "catalog_ready",
+                     {{"entries", catalog->entry_count()},
+                      {"bytes_replayed",
+                       catalog->engine_->stats().wal_replayed_bytes},
+                      {"duration_ns", duration_ns}});
   return catalog;
 }
 
@@ -151,56 +173,64 @@ Status AuthorIndex::ApplyReplicatedRecord(std::string_view record) {
   // Decode outside the lock: collect the entry puts the record carries.
   struct PendingEntry {
     EntryId id;
+    std::string_view value;  // Aliases `record`.
     Entry entry;
   };
   std::vector<PendingEntry> pending;
-  bool has_foreign_ops = false;  // Puts of non-entry keys.
-  Status decode_error;
-  Status parsed = storage::StorageEngine::ForEachRecordOp(
-      record, [&](std::string_view key, std::string_view value) {
-        if (!decode_error.ok()) {
-          return;
-        }
+  size_t ops = 0;
+  Status parsed = storage::ForEachRecordOp(
+      record, [&](std::string_view key, std::string_view value) -> Status {
+        ++ops;
         EntryId id = 0;
         if (!ParseEntryKey(key, &id)) {
-          has_foreign_ops = true;
-          return;
+          return Status::OK();  // Not an entry: nothing to index.
         }
         Result<Entry> entry = DecodeEntryExact(value);
         if (!entry.ok()) {
-          decode_error =
-              entry.status().WithContext("decoding replicated entry");
-          return;
+          return entry.status().WithContext("decoding replicated entry");
         }
-        pending.push_back({id, std::move(entry).value()});
+        pending.push_back({id, value, std::move(entry).value()});
+        return Status::OK();
       });
   AUTHIDX_RETURN_NOT_OK(parsed);
-  AUTHIDX_RETURN_NOT_OK(decode_error);
 
   WriterMutexLock lock(index_mu_);
+  // Entries below next_id are duplicates: a re-delivery after a
+  // follower crash, possibly of half a record. The rest must continue
+  // the ids densely — checked before anything reaches the log, which
+  // the next open replays and requires dense.
   const EntryId next_id = static_cast<EntryId>(entries_.size());
-  bool any_new = has_foreign_ops;
+  size_t fresh = 0;
   for (const PendingEntry& p : pending) {
-    if (p.id >= next_id) {
-      any_new = true;
-    }
-  }
-  if (!any_new) {
-    // Duplicate delivery: every entry in the record is already durable
-    // and indexed (ids are dense and assigned in WAL order, and records
-    // are atomic). Re-delivery after a follower crash lands here.
-    return Status::OK();
-  }
-  AUTHIDX_RETURN_NOT_OK(engine_->ApplyReplicated(record));
-  for (PendingEntry& p : pending) {
     if (p.id < next_id) {
-      continue;  // Already indexed half of a replayed prefix.
+      continue;
     }
-    if (p.id != static_cast<EntryId>(entries_.size())) {
+    if (p.id != next_id + fresh) {
       return Status::Corruption(
           "replicated record carries a non-dense entry id");
     }
-    IndexEntry(std::move(p.entry));
+    ++fresh;
+  }
+  if (fresh == 0) {
+    return Status::OK();  // Everything already durable and indexed.
+  }
+  if (fresh == ops) {
+    AUTHIDX_RETURN_NOT_OK(engine_->ApplyReplicated(record));
+  } else {
+    // Keep only the new entries, so the follower's log stays dense.
+    storage::WriteBatch batch;
+    for (const PendingEntry& p : pending) {
+      if (p.id >= next_id) {
+        batch.Put(EntryKey(p.id), p.value);
+      }
+    }
+    AUTHIDX_RETURN_NOT_OK(
+        engine_->ApplyReplicated(storage::kWalBatch + batch.rep()));
+  }
+  for (PendingEntry& p : pending) {
+    if (p.id >= next_id) {
+      IndexEntry(std::move(p.entry));
+    }
   }
   // Follower reads must never serve pre-apply cached results.
   data_epoch_.fetch_add(1, std::memory_order_release);
@@ -692,21 +722,14 @@ Status AuthorIndex::Flush() {
     return Status::OK();
   }
   Status status = engine_->Flush();
-  // Conservative epoch bump: flush/compaction do not change query
-  // results, but treating every storage transition as an invalidation
-  // keeps the cache's staleness argument one sentence long.
+  // Conservative epoch bump: a flush does not change query results,
+  // but treating every storage transition as an invalidation keeps the
+  // cache's staleness argument one sentence long.
   data_epoch_.fetch_add(1, std::memory_order_release);
   return status;
 }
 
-Status AuthorIndex::CompactStorage() {
-  if (engine_ == nullptr) {
-    return Status::OK();
-  }
-  Status status = engine_->Compact();
-  data_epoch_.fetch_add(1, std::memory_order_release);
-  return status;
-}
+Status AuthorIndex::CompactStorage() { return Flush(); }
 
 storage::EngineStats AuthorIndex::StorageStats() const {
   return engine_ != nullptr ? engine_->stats() : storage::EngineStats{};
@@ -720,11 +743,8 @@ bool AuthorIndex::StorageDegraded() const {
   return engine_ != nullptr && engine_->degraded();
 }
 
-Result<storage::IntegrityReport> AuthorIndex::VerifyStorageIntegrity() {
-  if (engine_ == nullptr) {
-    return storage::IntegrityReport{};  // Nothing on disk: trivially clean.
-  }
-  return engine_->VerifyIntegrity();
+Status AuthorIndex::VerifyStorageIntegrity() {
+  return engine_ != nullptr ? engine_->VerifyIntegrity() : Status::OK();
 }
 
 }  // namespace authidx::core

@@ -35,9 +35,9 @@ namespace authidx::core {
 /// Two modes:
 ///  * in-memory (`Create`) — indexes only;
 ///  * persistent (`OpenPersistent`) — entries additionally go through
-///    the LSM storage engine; reopening the same directory recovers the
-///    full catalog (including from a WAL after a crash) and rebuilds the
-///    in-memory indexes.
+///    the storage engine's append-only log; reopening the same directory
+///    replays the log once, in order, and rebuilds the in-memory
+///    indexes (a torn tail left by a crash is cut off first).
 ///
 /// Thread safety: Add/AddAll take the catalog lock exclusively; every
 /// query entry point (Search/SearchTraced/Run/RunTraced) holds it
@@ -47,8 +47,7 @@ namespace authidx::core {
 /// (GroupsInOrder/group_count/CoauthorsOf) plus the public CatalogView
 /// overrides (GetEntry, AuthorExact, ...) each take it shared
 /// themselves — so any number of queries and point accessors run in
-/// parallel with each other and with the storage engine's background
-/// work. Entry storage is append-only (deque), so `GetEntry` pointers
+/// parallel with each other. Entry storage is append-only (deque), so `GetEntry` pointers
 /// and `SortKey` views stay valid across later ingests and may be used
 /// after the accessor returns. Exception: `title_index()` hands out a
 /// reference into live index state — walking it concurrently with
@@ -64,7 +63,11 @@ class AuthorIndex final : public query::CatalogView {
   /// In-memory catalog.
   static std::unique_ptr<AuthorIndex> Create();
 
-  /// Storage-backed catalog in `dir`; recovers existing contents.
+  /// Storage-backed catalog in `dir`; recovers existing contents from
+  /// the engine's open scan, one pass over the log in order (see
+  /// storage::StorageEngine::Open). Corruption if the log's entry ids are
+  /// not dense (0, 1, 2, ... in log order). Logs `catalog_ready`
+  /// (entries, bytes replayed, duration) when done.
   static Result<std::unique_ptr<AuthorIndex>> OpenPersistent(
       const std::string& dir, storage::EngineOptions options = {});
 
@@ -107,7 +110,7 @@ class AuthorIndex final : public query::CatalogView {
 
   /// Point-in-time view of every metric this catalog records: query
   /// counters and stage latencies, plus — for persistent catalogs — the
-  /// storage engine's WAL/flush/compaction instruments (see
+  /// storage engine's log instruments (see
   /// docs/OBSERVABILITY.md for the full name table). Thread-safe.
   obs::MetricsSnapshot GetMetricsSnapshot() const;
 
@@ -149,7 +152,7 @@ class AuthorIndex final : public query::CatalogView {
   /// 0 disarms). Once armed, Search/SearchTraced/Run/RunTraced probe
   /// the cache before planning and insert successful results after.
   /// Entries are stamped with the data epoch (below), so any ingest,
-  /// flush, compaction, or replication apply invalidates every cached
+  /// flush, or replication apply invalidates every cached
   /// result — a stale hit is impossible on primaries and followers
   /// alike. Registers the cache's instruments in the catalog registry.
   /// Not thread-safe: call during setup, before queries run.
@@ -159,7 +162,8 @@ class AuthorIndex final : public query::CatalogView {
   const ResultCache* result_cache() const { return result_cache_.get(); }
 
   /// Monotonic counter bumped by every mutation that can change query
-  /// results (Add, AddAll, ApplyReplicatedRecord, Flush, Compact).
+  /// results (Add, AddAll, ApplyReplicatedRecord), and conservatively
+  /// by Flush/CompactStorage too.
   /// Cached results stamped with an older epoch never hit.
   uint64_t data_epoch() const {
     return data_epoch_.load(std::memory_order_acquire);
@@ -204,13 +208,15 @@ class AuthorIndex final : public query::CatalogView {
   /// display names (cross-reference support).
   std::vector<std::string> CoauthorsOf(std::string_view folded_group) const;
 
-  /// Applies one primary-originated WAL record (as shipped by a
-  /// storage::ReplicationSource) to a follower catalog: the record goes
-  /// through the engine's own WAL and every new entry it carries is
-  /// indexed. Idempotent — entry ids are dense and assigned in WAL
-  /// order, so a record whose entries the catalog already holds is
-  /// recognized as a duplicate delivery and skipped whole (records are
-  /// atomic: they are re-delivered entirely or not at all).
+  /// Applies one primary-originated log record (or a put-batch piece of
+  /// one, as shipped by a storage::ReplicationSource) to a follower
+  /// catalog: the entries it carries that the catalog does not hold yet
+  /// go through the engine's own log and are indexed. Idempotent —
+  /// entry ids are dense and assigned in log order, so entries the
+  /// catalog already holds are recognized as a duplicate delivery and
+  /// skipped; a record holding only those is skipped whole. The new
+  /// entries must continue the catalog's ids densely (Corruption
+  /// otherwise, before anything is written).
   Status ApplyReplicatedRecord(std::string_view record);
 
   /// True for catalogs opened with OpenReplica.
@@ -224,7 +230,8 @@ class AuthorIndex final : public query::CatalogView {
   /// Persists pending writes (no-op for in-memory catalogs).
   Status Flush();
 
-  /// Forces a storage compaction (no-op for in-memory catalogs).
+  /// Synonym of Flush, kept for callers written against the earlier
+  /// LSM engine (the log has nothing to compact).
   Status CompactStorage();
 
   /// Underlying storage stats (empty struct for in-memory catalogs).
@@ -238,9 +245,9 @@ class AuthorIndex final : public query::CatalogView {
   /// serve the durable state. Always false for in-memory catalogs.
   bool StorageDegraded() const;
 
-  /// Full-store integrity scan: re-reads and CRC-verifies every table
-  /// block plus the manifest (trivially clean for in-memory catalogs).
-  Result<storage::IntegrityReport> VerifyStorageIntegrity();
+  /// Full-store integrity scan: re-reads every log segment and
+  /// re-checks every record's CRC (trivially OK for in-memory catalogs).
+  Status VerifyStorageIntegrity();
 
  private:
   struct GroupRecord {
@@ -327,6 +334,7 @@ class AuthorIndex final : public query::CatalogView {
   obs::Counter* queries_total_ = nullptr;
   obs::LatencyHistogram* query_ns_ = nullptr;
   obs::Counter* slow_queries_total_ = nullptr;
+  obs::LatencyHistogram* rebuild_ns_ = nullptr;
 
   std::unique_ptr<obs::SlowQueryLog> slowlog_;
   std::atomic<uint64_t> slow_threshold_ns_{0};

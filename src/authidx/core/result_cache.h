@@ -20,7 +20,7 @@ namespace authidx::core {
 /// keyed by KeyFor(query) (every field, offset/limit included) and
 /// stamped with the catalog's data epoch at insert time. A probe only
 /// hits when the stamped epoch still equals the catalog's current
-/// epoch — any ingest, flush, compaction, or replication apply bumps
+/// epoch — any ingest, flush, or replication apply bumps
 /// the epoch, so every cached result is invalidated wholesale and a
 /// stale hit is impossible by construction (stale entries are erased
 /// lazily on probe or via LRU pressure).

@@ -152,8 +152,7 @@ class Client {
 
   /// Raw layer: blocks for the next frame of *any* opcode, without
   /// interpreting it. For replication followers consuming the
-  /// REPL_RECORDS / REPL_HEARTBEAT / REPL_SNAPSHOT stream after a
-  /// REPL_SUBSCRIBE. `*payload` is copied out of the read buffer.
+  /// REPL_RECORDS / REPL_HEARTBEAT stream after a REPL_SUBSCRIBE. `*payload` is copied out of the read buffer.
   Status ReceiveStreamFrame(FrameHeader* header, std::string* payload);
 
   /// The endpoint the client currently targets, as "host:port" (index 0

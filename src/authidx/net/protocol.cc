@@ -373,21 +373,11 @@ Status DecodeReplSubscribe(std::string_view payload, WirePosition* position) {
 
 void EncodeReplSubscribeAck(const WireReplSubscribeAck& ack,
                             std::string* dst) {
-  dst->push_back(static_cast<char>(ack.mode));
   EncodeWirePosition(ack.start, dst);
 }
 
 Status DecodeReplSubscribeAck(std::string_view body,
                               WireReplSubscribeAck* ack) {
-  if (body.empty()) {
-    return Status::Corruption("empty REPL_SUBSCRIBE ack");
-  }
-  ack->mode = static_cast<uint8_t>(body[0]);
-  if (ack->mode > 1) {
-    return Status::Corruption("REPL_SUBSCRIBE ack mode " +
-                              std::to_string(ack->mode) + " is not 0 or 1");
-  }
-  body.remove_prefix(1);
   AUTHIDX_RETURN_NOT_OK(DecodeWirePosition(&body, &ack->start));
   if (!body.empty()) {
     return Status::Corruption("trailing bytes after REPL_SUBSCRIBE ack");
@@ -444,51 +434,6 @@ Status DecodeReplHeartbeat(std::string_view payload, WireReplHeartbeat* hb) {
   if (hb->degraded > 1) {
     return Status::Corruption("REPL_HEARTBEAT degraded byte " +
                               std::to_string(hb->degraded) + " is not 0 or 1");
-  }
-  return Status::OK();
-}
-
-void EncodeReplSnapshot(const WireReplSnapshot& chunk, std::string* dst) {
-  dst->push_back(static_cast<char>(chunk.done));
-  EncodeWirePosition(chunk.resume, dst);
-  PutVarint32(dst, static_cast<uint32_t>(chunk.pairs.size()));
-  for (const auto& [key, value] : chunk.pairs) {
-    PutLengthPrefixed(dst, key);
-    PutLengthPrefixed(dst, value);
-  }
-}
-
-Status DecodeReplSnapshot(std::string_view payload, WireReplSnapshot* chunk) {
-  if (payload.empty()) {
-    return Status::Corruption("empty REPL_SNAPSHOT payload");
-  }
-  chunk->done = static_cast<uint8_t>(payload[0]);
-  if (chunk->done > 1) {
-    return Status::Corruption("REPL_SNAPSHOT done byte " +
-                              std::to_string(chunk->done) + " is not 0 or 1");
-  }
-  payload.remove_prefix(1);
-  AUTHIDX_RETURN_NOT_OK(DecodeWirePosition(&payload, &chunk->resume));
-  uint32_t count = 0;
-  AUTHIDX_RETURN_NOT_OK(GetVarint32(&payload, &count));
-  // Forged-count defense, as in DecodeReplRecords: each pair costs at
-  // least two 1-byte length prefixes.
-  if (count > payload.size()) {
-    return Status::Corruption("REPL snapshot pair count " +
-                              std::to_string(count) +
-                              " exceeds remaining payload of " +
-                              std::to_string(payload.size()) + " bytes");
-  }
-  chunk->pairs.clear();
-  chunk->pairs.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    std::string_view key, value;
-    AUTHIDX_RETURN_NOT_OK(GetLengthPrefixed(&payload, &key));
-    AUTHIDX_RETURN_NOT_OK(GetLengthPrefixed(&payload, &value));
-    chunk->pairs.emplace_back(std::string(key), std::string(value));
-  }
-  if (!payload.empty()) {
-    return Status::Corruption("trailing bytes after REPL_SNAPSHOT payload");
   }
   return Status::OK();
 }

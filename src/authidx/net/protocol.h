@@ -67,8 +67,8 @@ enum class Opcode : uint8_t {
   kReplRecords = 0x81,
   /// Stream: the primary's committed position (liveness + lag signal).
   kReplHeartbeat = 0x82,
-  /// Stream: a chunk of snapshot key/value pairs (follower bootstrap).
-  kReplSnapshot = 0x83,
+  // 0x83 is reserved: it carried snapshot chunks before followers
+  // bootstrapped from the primary's log. Never reassign it.
 };
 
 /// One row of the opcode table: the value and its spec name.
@@ -91,7 +91,6 @@ inline constexpr OpcodeInfo kOpcodeTable[] = {
     {Opcode::kResponse, "RESPONSE"},
     {Opcode::kReplRecords, "REPL_RECORDS"},
     {Opcode::kReplHeartbeat, "REPL_HEARTBEAT"},
-    {Opcode::kReplSnapshot, "REPL_SNAPSHOT"},
 };
 
 /// Number of *request* opcodes (the 0x01-0x7f range): the first
@@ -351,13 +350,13 @@ void EncodeStats(const WireStats& stats, std::string* dst);
 /// Decodes a STATS response body.
 Status DecodeStats(std::string_view body, WireStats* stats);
 
-/// A WAL position on the wire: two fixed64s (wal file number, byte
-/// offset). {0, 0} from a subscriber means "I have nothing — bootstrap
-/// me with a snapshot".
+/// A log position on the wire: two fixed64s (segment number, byte
+/// offset). {0, 0} from a subscriber means "I have nothing — send the
+/// log from its first segment".
 struct WirePosition {
-  /// WAL file number (strictly increasing across switches).
+  /// Log segment number (consecutive from 1).
   uint64_t wal_number = 0;
-  /// Byte offset into that WAL file.
+  /// Byte offset into that segment.
   uint64_t offset = 0;
 };
 
@@ -368,20 +367,18 @@ void EncodeReplSubscribe(const WirePosition& position, std::string* dst);
 /// Decodes a REPL_SUBSCRIBE request payload.
 Status DecodeReplSubscribe(std::string_view payload, WirePosition* position);
 
-/// RESPONSE body answering an accepted REPL_SUBSCRIBE: how the stream
-/// will start.
+/// RESPONSE body answering an accepted REPL_SUBSCRIBE: where the
+/// stream of records starts.
 struct WireReplSubscribeAck {
-  /// 0 = records from `start` onward; 1 = snapshot chunks first, then
-  /// records from `start` (which is the snapshot's consistent point).
-  uint8_t mode = 0;
-  /// Position the stream starts (or resumes) from.
+  /// Position the stream starts (or resumes) from: the subscribed
+  /// cursor, where {0, 0} means the start of the primary's log.
   WirePosition start;
 };
 
 /// Encodes a REPL_SUBSCRIBE ack body.
 void EncodeReplSubscribeAck(const WireReplSubscribeAck& ack,
                             std::string* dst);
-/// Decodes a REPL_SUBSCRIBE ack body (rejects unknown modes).
+/// Decodes a REPL_SUBSCRIBE ack body.
 Status DecodeReplSubscribeAck(std::string_view body,
                               WireReplSubscribeAck* ack);
 
@@ -420,26 +417,6 @@ struct WireReplHeartbeat {
 void EncodeReplHeartbeat(const WireReplHeartbeat& hb, std::string* dst);
 /// Decodes a REPL_HEARTBEAT payload (rejects non-boolean degraded).
 Status DecodeReplHeartbeat(std::string_view payload, WireReplHeartbeat* hb);
-
-/// REPL_SNAPSHOT stream payload: one chunk of a consistent iterator
-/// snapshot bootstrapping an empty follower. The final chunk has
-/// `done = 1`, zero pairs, and `resume`, the position record shipping
-/// resumes from.
-struct WireReplSnapshot {
-  /// 1 on the final chunk (which carries zero pairs).
-  uint8_t done = 0;
-  /// Position record shipping resumes from after the snapshot.
-  WirePosition resume;
-  /// Key/value pairs, in key order.
-  std::vector<std::pair<std::string, std::string>> pairs;
-};
-
-/// Encodes a REPL_SNAPSHOT stream payload.
-void EncodeReplSnapshot(const WireReplSnapshot& chunk, std::string* dst);
-
-/// Decodes a REPL_SNAPSHOT payload with the same forged-count defense
-/// as DecodeReplRecords.
-Status DecodeReplSnapshot(std::string_view payload, WireReplSnapshot* chunk);
 
 /// Payload of every RESPONSE frame: a status, a human-readable message
 /// (empty on OK), and an opcode-specific body (empty on error).

@@ -29,10 +29,9 @@ ReplicationFollower::ReplicationFollower(core::AuthorIndex* catalog,
                                          ReplicaOptions options)
     : catalog_(catalog),
       options_(std::move(options)),
-      applier_(catalog->storage_engine(), std::move(dir),
-               catalog->storage_engine() != nullptr
-                   ? catalog->storage_engine()->env()
-                   : nullptr),
+      applier_(std::move(dir), catalog->storage_engine() != nullptr
+                                   ? catalog->storage_engine()->env()
+                                   : nullptr),
       backoff_rng_(obs::MonotonicNowNs() | 1) {
   log_ = options_.logger != nullptr ? options_.logger
                                     : obs::Logger::Disabled();
@@ -45,10 +44,8 @@ ReplicationFollower::ReplicationFollower(core::AuthorIndex* catalog,
   }
   records_applied_total_ = registry->RegisterCounter(
       "authidx_repl_records_applied_total",
-      "WAL records applied from the replication stream");
-  snapshot_pairs_total_ = registry->RegisterCounter(
-      "authidx_repl_snapshot_pairs_applied_total",
-      "Key/value pairs applied from snapshot bootstrap chunks");
+      "Log records (or pieces of a split record) applied from the "
+      "replication stream");
   reconnects_total_ = registry->RegisterCounter(
       "authidx_repl_reconnects_total",
       "Reconnect attempts after a lost or failed primary connection");
@@ -57,8 +54,8 @@ ReplicationFollower::ReplicationFollower(core::AuthorIndex* catalog,
       "Records received from the primary but not yet applied");
   lag_bytes_ = registry->RegisterGauge(
       "authidx_repl_lag_bytes",
-      "WAL bytes between the applied cursor and the primary's committed "
-      "frontier (lower bound across a WAL switch)");
+      "Log bytes between the applied cursor and the primary's committed "
+      "frontier (lower bound across a segment roll)");
   apply_ns_ = registry->RegisterLatencyHistogram(
       "authidx_repl_apply_ns",
       "Latency of applying one replicated record into the catalog");
@@ -97,8 +94,8 @@ void ReplicationFollower::UpdateLag() {
                 ? committed_pos_.offset - applied_pos_.offset
                 : 0;
   } else if (applied_pos_ < committed_pos_) {
-    // Across a WAL switch the sealed files' sizes are unknown here;
-    // report the committed WAL's own bytes as a lower bound.
+    // Across a segment roll the sealed segments' sizes are unknown
+    // here; report the committed segment's own bytes as a lower bound.
     bytes = committed_pos_.offset;
   }
   lag_bytes_->Set(static_cast<int64_t>(bytes));
@@ -134,33 +131,6 @@ Status ReplicationFollower::ApplyRecordsBatch(std::string_view payload) {
   return Status::OK();
 }
 
-Status ReplicationFollower::ApplySnapshotChunk(std::string_view payload,
-                                               bool* done) {
-  WireReplSnapshot chunk;
-  AUTHIDX_RETURN_NOT_OK(DecodeReplSnapshot(payload, &chunk));
-  NoteContact();
-  for (const auto& [key, value] : chunk.pairs) {
-    std::string record = storage::StorageEngine::EncodePutRecord(key, value);
-    uint64_t start_ns = obs::MonotonicNowNs();
-    AUTHIDX_RETURN_NOT_OK(catalog_->ApplyReplicatedRecord(record));
-    apply_ns_->Record(obs::MonotonicNowNs() - start_ns);
-    snapshot_pairs_total_->Inc();
-  }
-  *done = chunk.done != 0;
-  if (chunk.done != 0) {
-    storage::WalPosition resume{chunk.resume.wal_number, chunk.resume.offset};
-    AUTHIDX_RETURN_NOT_OK(applier_.CommitPosition(resume));
-    {
-      MutexLock lock(pos_mu_);
-      applied_pos_ = resume;
-    }
-    UpdateLag();
-    log_->Log(obs::LogLevel::kInfo, "repl_bootstrap_complete",
-              {{"wal", resume.wal_number}, {"offset", resume.offset}});
-  }
-  return Status::OK();
-}
-
 Status ReplicationFollower::StreamOnce(bool stop_when_caught_up) {
   Result<storage::WalPosition> loaded = applier_.LoadPosition();
   if (!loaded.ok()) {
@@ -193,12 +163,11 @@ Status ReplicationFollower::StreamOnce(bool stop_when_caught_up) {
     AUTHIDX_RETURN_NOT_OK(client.ReceiveResponse(&response_id, &response));
     if (response.status == WireStatus::kNotFound && !reseeded &&
         !(pos == storage::WalPosition{})) {
-      // The cursor is *ahead* of the primary's committed frontier (a
-      // merely garbage-collected cursor is answered with a snapshot
-      // bootstrap instead): this primary is not the one we followed —
-      // restored from backup, or a different store. An empty follower
-      // simply re-bootstraps; one holding data may have entries the
-      // primary lacks and must be reseeded by the operator.
+      // The cursor lies past the primary's log (which keeps every
+      // segment): this primary is not the one we followed — restored
+      // from backup, or a different store. An empty follower simply
+      // reads the new log from the start; one holding data may have
+      // entries the primary lacks and must be reseeded by the operator.
       if (catalog_->entry_count() != 0) {
         return Status::FailedPrecondition(
             "replication cursor is not servable by the primary and the "
@@ -222,12 +191,8 @@ Status ReplicationFollower::StreamOnce(bool stop_when_caught_up) {
     break;
   }
   log_->Log(obs::LogLevel::kInfo, "repl_subscribed",
-            {{"mode", static_cast<uint64_t>(ack.mode)},
-             {"wal", ack.start.wal_number},
-             {"offset", ack.start.offset}});
+            {{"wal", ack.start.wal_number}, {"offset", ack.start.offset}});
 
-  bool snapshot_active = ack.mode == 1;
-  bool saw_frame = false;
   while (!stop_.load(std::memory_order_acquire)) {
     FrameHeader header;
     std::string body;
@@ -236,14 +201,6 @@ Status ReplicationFollower::StreamOnce(bool stop_when_caught_up) {
       case Opcode::kReplRecords:
         AUTHIDX_RETURN_NOT_OK(ApplyRecordsBatch(body));
         break;
-      case Opcode::kReplSnapshot: {
-        bool done = false;
-        AUTHIDX_RETURN_NOT_OK(ApplySnapshotChunk(body, &done));
-        if (done) {
-          snapshot_active = false;
-        }
-        break;
-      }
       case Opcode::kReplHeartbeat: {
         WireReplHeartbeat hb;
         AUTHIDX_RETURN_NOT_OK(DecodeReplHeartbeat(body, &hb));
@@ -263,10 +220,9 @@ Status ReplicationFollower::StreamOnce(bool stop_when_caught_up) {
             std::to_string(static_cast<int>(header.opcode)) +
             " on the replication stream");
     }
-    saw_frame = true;
-    if (stop_when_caught_up && !snapshot_active) {
+    if (stop_when_caught_up) {
       MutexLock lock(pos_mu_);
-      if (saw_frame && applied_pos_ == committed_pos_) {
+      if (applied_pos_ == committed_pos_) {
         return Status::OK();
       }
     }

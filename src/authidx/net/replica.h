@@ -45,9 +45,9 @@ struct ReplicaOptions {
 };
 
 /// The follower half of WAL shipping: subscribes to a primary server
-/// (REPL_SUBSCRIBE), applies the pushed REPL_RECORDS / REPL_SNAPSHOT
-/// stream into a replica catalog (core::AuthorIndex::OpenReplica), and
-/// durably commits its cursor through a storage::ReplicationApplier —
+/// (REPL_SUBSCRIBE), applies the pushed REPL_RECORDS stream into a
+/// replica catalog (core::AuthorIndex::OpenReplica), and durably
+/// commits its cursor through a storage::ReplicationApplier —
 /// only *after* the records up to it are applied, so a crash at any
 /// point re-delivers records the catalog already holds and the
 /// idempotent apply path skips them.
@@ -79,11 +79,11 @@ class ReplicationFollower {
 
   /// One synchronous pass: subscribe at the durable cursor and apply
   /// the stream until caught up with the primary's committed frontier.
-  /// An empty follower (cursor {0,0}) bootstraps from a snapshot first.
-  /// A NOT_FOUND subscribe answer (the cursor's WAL was garbage-
-  /// collected, or the primary restarted) re-subscribes at {0,0} when
-  /// the catalog is still empty, and is a permanent error otherwise —
-  /// the operator must reseed the replica from scratch.
+  /// An empty follower (cursor {0,0}) reads the primary's log from its
+  /// first segment. A NOT_FOUND subscribe answer (the cursor belongs to
+  /// some other store) re-subscribes at {0,0} when the catalog is still
+  /// empty, and is a permanent error otherwise — the operator must
+  /// reseed the replica from scratch.
   Status CatchUpOnce();
 
   /// Spawns the background replication loop. Fails if already running.
@@ -95,8 +95,8 @@ class ReplicationFollower {
   /// True between Start() and Stop().
   bool running() const { return running_.load(std::memory_order_acquire); }
 
-  /// Nanoseconds since the last frame from the primary (records,
-  /// snapshot chunk, or heartbeat); UINT64_MAX before first contact.
+  /// Nanoseconds since the last frame from the primary (records or
+  /// heartbeat); UINT64_MAX before first contact.
   /// The staleness signal behind a replica's /healthz.
   uint64_t NsSinceLastContact() const;
 
@@ -121,10 +121,6 @@ class ReplicationFollower {
   // Applies one REPL_RECORDS batch and commits the cursor.
   Status ApplyRecordsBatch(std::string_view payload);
 
-  // Applies one REPL_SNAPSHOT chunk (synthesizing put records); commits
-  // the cursor when the chunk is final.
-  Status ApplySnapshotChunk(std::string_view payload, bool* done);
-
   void NoteContact();
   void UpdateLag() AUTHIDX_EXCLUDES(pos_mu_);
 
@@ -136,7 +132,6 @@ class ReplicationFollower {
 
   obs::Counter* records_applied_total_ = nullptr;
   obs::Counter* reconnects_total_ = nullptr;
-  obs::Counter* snapshot_pairs_total_ = nullptr;
   obs::Gauge* lag_records_ = nullptr;
   obs::Gauge* lag_bytes_ = nullptr;
   obs::LatencyHistogram* apply_ns_ = nullptr;

@@ -107,21 +107,14 @@ struct Server::Connection {
 
 // One replication subscriber (a follower that sent REPL_SUBSCRIBE).
 // Membership in Server::subscribers_ is guarded by feeder_mu_; the
-// mutable cursor and snapshot state are touched only by the feeder
-// thread once `active` is set (the registering worker owns them before
-// that). `pin_wal` crosses threads (feeder advances it, any registrar
-// reads it for the pin computation), hence atomic.
+// mutable cursor is touched only by the feeder thread once `active` is
+// set (the registering worker owns it before that).
 struct Server::Subscriber {
   std::shared_ptr<Connection> conn;
   // REPL_SUBSCRIBE correlation id, echoed on every stream frame.
   uint64_t request_id = 0;
-  // Next unread WAL byte to ship (feeder thread only once active).
+  // Next unread log byte to ship (feeder thread only once active).
   storage::WalPosition pos;
-  // Snapshot bootstrap: pairs still to stream before records start.
-  std::unique_ptr<storage::Iterator> snap_it;
-  bool snapshot_pending = false;
-  // Oldest WAL this subscriber still needs; feeds the engine pin.
-  std::atomic<uint64_t> pin_wal{UINT64_MAX};
   // Set once the ack RESPONSE is on the wire; the feeder skips
   // inactive subscribers (their stream must not precede the ack).
   std::atomic<bool> active{false};
@@ -206,10 +199,8 @@ Server::Server(core::AuthorIndex* catalog, ServerOptions options)
       "authidx_server_bytes_out_total", "Bytes written to clients");
   repl_records_shipped_total_ = metrics_->RegisterCounter(
       "authidx_repl_records_shipped_total",
-      "WAL records shipped to replication subscribers");
-  repl_snapshot_pairs_shipped_total_ = metrics_->RegisterCounter(
-      "authidx_repl_snapshot_pairs_shipped_total",
-      "Snapshot key/value pairs shipped to bootstrapping subscribers");
+      "Log records (or pieces of a split record) shipped to replication "
+      "subscribers");
   repl_subscribers_ = metrics_->RegisterGauge(
       "authidx_repl_subscribers",
       "Replication subscribers currently registered");
@@ -340,11 +331,9 @@ void Server::Stop() {
   workers_.clear();
   {
     // After the workers are gone nothing can register a subscriber
-    // anymore: drop them all and release the WAL pin so the engine
-    // (which outlives the server) resumes normal garbage collection.
+    // anymore: drop them all.
     MutexLock lock(feeder_mu_);
     subscribers_.clear();
-    UpdateWalPinLocked();
     repl_subscribers_->Set(0);
   }
   {
@@ -970,57 +959,23 @@ ResponsePayload Server::HandleReplSubscribe(
   auto sub = std::make_shared<Subscriber>();
   sub->conn = task.conn;
   sub->request_id = task.header.request_id;
-  storage::WalPosition pos{wire_pos.wal_number, wire_pos.offset};
+  sub->pos = {wire_pos.wal_number, wire_pos.offset};
+  // Is the cursor servable? A zero-record read checks it without
+  // reading the log. The primary keeps every segment, so NOT_FOUND
+  // means the cursor belongs to some other store (a primary restored
+  // from backup, say) and the follower must reseed; a missing segment
+  // is surfaced as corruption.
+  storage::ReplicationSource source(engine);
+  Result<storage::ReplicationBatch> checked =
+      source.ReadBatch(sub->pos, 0, options_.repl_max_batch_bytes);
+  if (!checked.ok()) {
+    response.status = WireStatusFromStatus(checked.status());
+    response.message = checked.status().ToString();
+    return response;
+  }
+  RegisterSubscriber(sub);
   WireReplSubscribeAck ack;
-  bool bootstrap = pos == storage::WalPosition{};
-  if (!bootstrap) {
-    sub->pos = pos;
-    sub->pin_wal.store(pos.wal_number, std::memory_order_relaxed);
-    RegisterSubscriber(sub);
-    // Trial read under the pin: is the cursor still servable?
-    // Corruption below the frontier is surfaced as-is. NOT_FOUND splits
-    // two ways: a cursor at or behind the committed frontier sits on a
-    // WAL that was flushed and garbage-collected (a primary restart
-    // does this) — every record it needs is in the SSTs, so fall back
-    // to a snapshot bootstrap, which is idempotent over whatever the
-    // follower already holds. A cursor *ahead* of the frontier belongs
-    // to some other store (or a primary restored from backup) and the
-    // follower must reseed.
-    storage::ReplicationSource source(engine);
-    Result<storage::ReplicationBatch> trial =
-        source.ReadBatch(pos, 1, options_.repl_max_batch_bytes);
-    if (!trial.ok()) {
-      RemoveSubscriber(sub);
-      if (trial.status().code() == StatusCode::kNotFound &&
-          !(engine->CommittedWalPosition() < pos)) {
-        bootstrap = true;
-      } else {
-        response.status = WireStatusFromStatus(trial.status());
-        response.message = trial.status().ToString();
-        return response;
-      }
-    } else {
-      ack.mode = 0;
-      ack.start = wire_pos;
-    }
-  }
-  if (bootstrap) {
-    // Snapshot bootstrap. Ordering matters: pin the committed WAL
-    // *before* registering, register *before* capturing the resume
-    // point, and open the iterator *after* the capture — so every
-    // record at or after `resume` is either in the snapshot or still on
-    // a pinned WAL when record shipping starts.
-    storage::WalPosition committed = engine->CommittedWalPosition();
-    sub->pin_wal.store(committed.wal_number, std::memory_order_relaxed);
-    RegisterSubscriber(sub);
-    storage::WalPosition resume = engine->CommittedWalPosition();
-    sub->pos = resume;
-    sub->snap_it = engine->NewIterator();
-    sub->snap_it->SeekToFirst();
-    sub->snapshot_pending = true;
-    ack.mode = 1;
-    ack.start = {resume.wal_number, resume.offset};
-  }
+  ack.start = wire_pos;
   EncodeReplSubscribeAck(ack, &response.body);
   *pending_sub = std::move(sub);
   return response;
@@ -1029,7 +984,6 @@ ResponsePayload Server::HandleReplSubscribe(
 void Server::RegisterSubscriber(const std::shared_ptr<Subscriber>& sub) {
   MutexLock lock(feeder_mu_);
   subscribers_.push_back(sub);
-  UpdateWalPinLocked();
   repl_subscribers_->Set(static_cast<int64_t>(subscribers_.size()));
 }
 
@@ -1046,7 +1000,6 @@ void Server::RemoveSubscriber(const std::shared_ptr<Subscriber>& sub) {
   if (it != subscribers_.end()) {
     subscribers_.erase(it);
   }
-  UpdateWalPinLocked();
   repl_subscribers_->Set(static_cast<int64_t>(subscribers_.size()));
 }
 
@@ -1055,18 +1008,6 @@ void Server::KickFeeder() {
   if (!subscribers_.empty()) {
     feeder_cv_.NotifyAll();
   }
-}
-
-void Server::UpdateWalPinLocked() {
-  storage::StorageEngine* engine = catalog_->storage_engine();
-  if (engine == nullptr) {
-    return;
-  }
-  uint64_t pin = UINT64_MAX;
-  for (const std::shared_ptr<Subscriber>& sub : subscribers_) {
-    pin = std::min(pin, sub->pin_wal.load(std::memory_order_relaxed));
-  }
-  engine->PinWalsFrom(pin);
 }
 
 void Server::FeederLoop() {
@@ -1117,43 +1058,7 @@ void Server::FeederLoop() {
 bool Server::FeedSubscriber(const std::shared_ptr<Subscriber>& sub,
                             storage::ReplicationSource* source) {
   storage::StorageEngine* engine = catalog_->storage_engine();
-  // Snapshot bootstrap: stream the pinned iterator in bounded chunks,
-  // closing with an empty done-chunk carrying the resume position.
-  while (sub->snapshot_pending) {
-    WireReplSnapshot chunk;
-    size_t chunk_bytes = 0;
-    storage::Iterator* it = sub->snap_it.get();
-    while (it->Valid() && chunk_bytes < options_.repl_snapshot_chunk_bytes) {
-      chunk.pairs.emplace_back(std::string(it->key()),
-                               std::string(it->value()));
-      chunk_bytes += it->key().size() + it->value().size() + 16;
-      it->Next();
-    }
-    if (!it->status().ok()) {
-      log_->Log(obs::LogLevel::kWarn, "repl_snapshot_failed",
-                {{"error", it->status().message()}});
-      return false;
-    }
-    if (chunk.pairs.empty()) {
-      chunk.done = 1;
-      chunk.resume = {sub->pos.wal_number, sub->pos.offset};
-    }
-    size_t pair_count = chunk.pairs.size();
-    std::string payload;
-    EncodeReplSnapshot(chunk, &payload);
-    if (!WriteStreamFrame(sub->conn, Opcode::kReplSnapshot,
-                          sub->request_id, payload)) {
-      return false;
-    }
-    repl_snapshot_pairs_shipped_total_->Inc(pair_count);
-    if (chunk.done != 0) {
-      sub->snapshot_pending = false;
-      sub->snap_it.reset();
-    }
-  }
-
   // Ship committed records until this subscriber is caught up.
-  bool advanced = false;
   for (;;) {
     Result<storage::ReplicationBatch> batch = source->ReadBatch(
         sub->pos, options_.repl_max_batch_records,
@@ -1165,31 +1070,40 @@ bool Server::FeedSubscriber(const std::shared_ptr<Subscriber>& sub,
                  {"offset", sub->pos.offset}});
       return false;
     }
-    if (batch->records.empty()) {
+    if (batch->records.empty() && batch->end == sub->pos) {
       break;
     }
-    WireReplRecords wire;
-    wire.end = {batch->end.wal_number, batch->end.offset};
-    wire.committed = {batch->committed.wal_number,
-                      batch->committed.offset};
-    wire.records = std::move(batch->records);
-    size_t record_count = wire.records.size();
-    std::string payload;
-    EncodeReplRecords(wire, &payload);
-    if (!WriteStreamFrame(sub->conn, Opcode::kReplRecords,
-                          sub->request_id, payload)) {
-      return false;
-    }
-    repl_records_shipped_total_->Inc(record_count);
+    // One frame per repl_max_batch_bytes of records: a split record
+    // spans several. Only the last frame carries the batch's end; the
+    // others repeat the current cursor, so a follower that crashes
+    // mid-record is re-sent the whole record and skips the pieces it
+    // already holds. A batch with no records still ships its end: the
+    // cursor crossed into the next segment.
+    size_t next = 0;
+    do {
+      WireReplRecords wire;
+      size_t frame_bytes = 0;
+      while (next < batch->records.size() &&
+             (wire.records.empty() ||
+              frame_bytes + batch->records[next].size() <=
+                  options_.repl_max_batch_bytes)) {
+        frame_bytes += batch->records[next].size();
+        wire.records.push_back(std::move(batch->records[next++]));
+      }
+      const storage::WalPosition end =
+          next == batch->records.size() ? batch->end : sub->pos;
+      wire.end = {end.wal_number, end.offset};
+      wire.committed = {batch->committed.wal_number,
+                        batch->committed.offset};
+      std::string payload;
+      EncodeReplRecords(wire, &payload);
+      if (!WriteStreamFrame(sub->conn, Opcode::kReplRecords,
+                            sub->request_id, payload)) {
+        return false;
+      }
+      repl_records_shipped_total_->Inc(wire.records.size());
+    } while (next < batch->records.size());
     sub->pos = batch->end;
-    sub->pin_wal.store(sub->pos.wal_number, std::memory_order_relaxed);
-    advanced = true;
-  }
-  if (advanced) {
-    // The cursor may have crossed a WAL switch; let the engine release
-    // files no subscriber needs anymore.
-    MutexLock lock(feeder_mu_);
-    UpdateWalPinLocked();
   }
 
   uint64_t now = obs::MonotonicNowNs();

@@ -83,12 +83,13 @@ struct ServerOptions {
   /// REPL_HEARTBEAT (and how quickly freshly committed records ship
   /// when the feeder was idle).
   int repl_heartbeat_interval_ms = 500;
-  /// Caps on one REPL_RECORDS batch read from the WAL per feeder pass.
+  /// Caps on one REPL_RECORDS batch read from the log per feeder pass.
   size_t repl_max_batch_records = 512;
-  /// Byte sibling of repl_max_batch_records; whichever trips first.
+  /// Byte sibling of repl_max_batch_records; whichever trips first. A
+  /// log record larger than this ships as put-batch pieces of at most
+  /// this size, one REPL_RECORDS frame each, so no frame outgrows the
+  /// follower's frame cap.
   size_t repl_max_batch_bytes = 256 * 1024;
-  /// Cap on the encoded pairs in one REPL_SNAPSHOT bootstrap chunk.
-  size_t repl_snapshot_chunk_bytes = 256 * 1024;
 };
 
 /// The authidx network front end: accepts loopback TCP connections
@@ -230,14 +231,14 @@ class Server {
 
   // --- replication feeder (primary side of WAL shipping) ---
 
-  // Handles one REPL_SUBSCRIBE: validates the cursor (or sets up a
-  // snapshot bootstrap), registers the subscriber inactive, and builds
-  // the ack. On a non-OK response nothing stays registered.
+  // Handles one REPL_SUBSCRIBE: validates the cursor, registers the
+  // subscriber inactive, and builds the ack. On a non-OK response
+  // nothing is registered.
   ResponsePayload HandleReplSubscribe(
       const Task& task, std::shared_ptr<Subscriber>* pending_sub);
 
-  // Streams records/snapshot chunks/heartbeats to every active
-  // subscriber at the repl_heartbeat_interval_ms cadence.
+  // Streams records/heartbeats to every active subscriber at the
+  // repl_heartbeat_interval_ms cadence.
   void FeederLoop();
 
   // One feeder pass over `sub`. Returns false when the subscriber is
@@ -245,13 +246,13 @@ class Server {
   bool FeedSubscriber(const std::shared_ptr<Subscriber>& sub,
                       storage::ReplicationSource* source);
 
-  // Registers `sub` (inactive) and re-pins WALs to cover it.
+  // Registers `sub` (inactive).
   void RegisterSubscriber(const std::shared_ptr<Subscriber>& sub);
 
   // Marks `sub` live for the feeder (its ack is on the wire).
   void ActivateSubscriber(const std::shared_ptr<Subscriber>& sub);
 
-  // Drops `sub` and recomputes the WAL pin.
+  // Drops `sub`.
   void RemoveSubscriber(const std::shared_ptr<Subscriber>& sub);
 
   // Wakes the feeder when subscribers exist, so a committed mutation
@@ -259,13 +260,8 @@ class Server {
   // effort: a missed wakeup only costs one interval of lag.
   void KickFeeder();
 
-  // Re-pins the primary's WALs at the minimum cursor over all
-  // subscribers (UINT64_MAX — release everything — when none remain).
-  // Caller must hold feeder_mu_.
-  void UpdateWalPinLocked() AUTHIDX_REQUIRES(feeder_mu_);
-
-  // Writes one non-RESPONSE stream frame (REPL_RECORDS / REPL_SNAPSHOT
-  // / REPL_HEARTBEAT) under the connection's write lock. Returns false
+  // Writes one non-RESPONSE stream frame (REPL_RECORDS /
+  // REPL_HEARTBEAT) under the connection's write lock. Returns false
   // and poisons the connection on failure.
   bool WriteStreamFrame(const std::shared_ptr<Connection>& conn,
                         Opcode opcode, uint64_t request_id,
@@ -360,14 +356,13 @@ class Server {
   Mutex feeder_mu_;
   CondVar feeder_cv_;
   // Membership is guarded by feeder_mu_; a Subscriber's mutable fields
-  // (cursor, snapshot iterator) are touched only by the feeder thread
-  // once the subscriber is active.
+  // (cursor, heartbeat time) are touched only by the feeder thread once
+  // the subscriber is active.
   std::vector<std::shared_ptr<Subscriber>> subscribers_
       AUTHIDX_GUARDED_BY(feeder_mu_);
   bool feeder_stop_ AUTHIDX_GUARDED_BY(feeder_mu_) = false;
 
   obs::Counter* repl_records_shipped_total_ = nullptr;
-  obs::Counter* repl_snapshot_pairs_shipped_total_ = nullptr;
   obs::Gauge* repl_subscribers_ = nullptr;
 };
 

@@ -1,9 +1,10 @@
 #include "authidx/storage/replication.h"
 
-#include <algorithm>
+#include <memory>
 
 #include "authidx/common/coding.h"
-#include "authidx/storage/manifest.h"
+#include "authidx/common/crc32c.h"
+#include "authidx/common/strings.h"
 
 namespace authidx::storage {
 
@@ -12,22 +13,37 @@ namespace {
 constexpr char kPositionFileName[] = "REPL_POSITION";
 constexpr size_t kPositionFileBytes = 16;  // Two fixed64s.
 
-// Extracts `<digits>.wal` numbers from a directory listing.
-bool ParseWalName(const std::string& name, uint64_t* number) {
-  size_t dot = name.rfind('.');
-  if (dot == std::string::npos || dot == 0 ||
-      std::string_view(name).substr(dot) != ".wal") {
-    return false;
+// Splits `record` into put-batch records of at most `max_bytes` each; a
+// put larger than that is a piece of its own.
+Status SplitRecord(std::string_view record, size_t max_bytes,
+                   std::vector<std::string>* pieces) {
+  std::string piece(1, kWalBatch);
+  Status s = ForEachRecordOp(
+      record, [&](std::string_view key, std::string_view value) {
+        const size_t op_bytes =
+            1 + static_cast<size_t>(VarintLength64(key.size())) + key.size() +
+            static_cast<size_t>(VarintLength64(value.size())) + value.size();
+        if (piece.size() > 1 && piece.size() + op_bytes > max_bytes) {
+          pieces->push_back(std::move(piece));
+          piece.assign(1, kWalBatch);
+        }
+        piece.push_back(kWalPut);
+        PutLengthPrefixed(&piece, key);
+        PutLengthPrefixed(&piece, value);
+        return Status::OK();
+      });
+  if (piece.size() > 1) {
+    pieces->push_back(std::move(piece));
   }
-  uint64_t value = 0;
-  for (size_t i = 0; i < dot; ++i) {
-    if (name[i] < '0' || name[i] > '9') {
-      return false;
-    }
-    value = value * 10 + static_cast<uint64_t>(name[i] - '0');
-  }
-  *number = value;
-  return true;
+  return s;
+}
+
+Status DamagedBelowFrontier(uint64_t segment, uint64_t offset) {
+  return Status::Corruption(StringPrintf(
+      "damaged log record below the committed frontier in segment %llu at "
+      "offset %llu",
+      static_cast<unsigned long long>(segment),
+      static_cast<unsigned long long>(offset)));
 }
 
 }  // namespace
@@ -38,119 +54,108 @@ ReplicationSource::ReplicationSource(StorageEngine* engine, Env* env)
 Result<ReplicationBatch> ReplicationSource::ReadBatch(WalPosition from,
                                                       size_t max_records,
                                                       size_t max_bytes) {
-  if (from.wal_number == 0) {
-    return Status::InvalidArgument(
-        "position {0,0} needs a snapshot bootstrap, not a record read");
-  }
   ReplicationBatch batch;
   batch.committed = engine_->CommittedWalPosition();
-  batch.end = from;
-  if (batch.committed < from) {
+  batch.end = from.wal_number == 0 ? WalPosition{1, 0} : from;
+  if (batch.committed < batch.end) {
     // A cursor past the primary's frontier means the follower was fed
     // by a store that no longer exists (e.g. the primary lost its disk
-    // and restarted empty). Only a bootstrap can reconcile that.
+    // and restarted empty). Only a reseed can reconcile that.
     return Status::NotFound(
         "cursor is past the primary's committed position");
   }
-  // Walk WAL files from the cursor towards the committed frontier. The
-  // numbers are not consecutive (file numbers are shared with tables),
-  // so each hop consults the directory listing.
+  WalPosition& cur = batch.end;
+  std::unique_ptr<RandomAccessFile> file;
+  uint64_t file_number = 0;
+  uint64_t limit = 0;  // Readable bytes of segment `file_number`.
+  std::string buf;
   size_t batch_bytes = 0;
-  while (batch.records.size() < max_records && batch_bytes < max_bytes) {
-    WalPosition& cur = batch.end;
-    if (batch.committed.wal_number < cur.wal_number ||
-        (batch.committed.wal_number == cur.wal_number &&
-         batch.committed.offset <= cur.offset)) {
-      break;  // Caught up.
-    }
-    const bool live = cur.wal_number == batch.committed.wal_number;
-    Result<std::string> data =
-        env_->ReadFileToString(WalFileName(engine_->dir(), cur.wal_number));
-    if (!data.ok()) {
-      if (data.status().IsNotFound()) {
-        return Status::NotFound("WAL " + std::to_string(cur.wal_number) +
-                                " is gone (garbage-collected)");
+  while (cur < batch.committed) {
+    if (file_number != cur.wal_number) {
+      const std::string path = WalFileName(engine_->dir(), cur.wal_number);
+      Result<std::unique_ptr<RandomAccessFile>> opened =
+          env_->NewRandomAccessFile(path);
+      if (!opened.ok()) {
+        return opened.status().IsNotFound()
+                   ? Status::Corruption("log segment " + path + " is missing")
+                   : opened.status().WithContext("opening " + path);
       }
-      return data.status().WithContext("reading WAL for replication");
-    }
-    const uint64_t limit =
-        live ? batch.committed.offset : static_cast<uint64_t>(data->size());
-    if (cur.offset > limit) {
-      return Status::NotFound("cursor offset " + std::to_string(cur.offset) +
-                              " is past the end of WAL " +
-                              std::to_string(cur.wal_number));
-    }
-    while (cur.offset < limit && batch.records.size() < max_records &&
-           batch_bytes < max_bytes) {
-      std::string_view window(data->data() + cur.offset,
-                              static_cast<size_t>(limit - cur.offset));
-      std::string_view payload;
-      size_t consumed = 0;
-      WalParseOutcome outcome = ParseWalRecord(window, &payload, &consumed);
-      if (outcome != WalParseOutcome::kRecord) {
-        // Every byte below the committed frontier (or below EOF of a
-        // cleanly-sealed WAL) is a whole, CRC-valid record; anything
-        // else is damage.
-        return Status::Corruption(
-            "damaged WAL record below the committed frontier in WAL " +
-            std::to_string(cur.wal_number));
+      file = std::move(opened).value();
+      file_number = cur.wal_number;
+      if (file_number == batch.committed.wal_number) {
+        limit = batch.committed.offset;
+      } else {
+        AUTHIDX_ASSIGN_OR_RETURN(limit, file->Size());
       }
-      batch.records.emplace_back(payload);
-      cur.offset += consumed;
-      batch_bytes += consumed;
+      if (cur.offset > limit) {
+        return Status::NotFound(StringPrintf(
+            "cursor offset %llu is past the end of segment %llu",
+            static_cast<unsigned long long>(cur.offset),
+            static_cast<unsigned long long>(file_number)));
+      }
     }
-    if (batch_bytes >= max_bytes || batch.records.size() >= max_records) {
+    if (cur.offset == limit) {
+      cur = {cur.wal_number + 1, 0};  // Finished a sealed segment.
+      continue;
+    }
+    if (batch.records.size() >= max_records) {
       break;
     }
-    if (!live && cur.offset == limit) {
-      // Finished a sealed WAL: hop to the next one on disk.
-      Result<std::vector<std::string>> listing =
-          env_->ListDir(engine_->dir());
-      AUTHIDX_RETURN_NOT_OK(listing.status());
-      uint64_t next = 0;
-      for (const std::string& name : *listing) {
-        uint64_t number = 0;
-        if (ParseWalName(name, &number) && number > cur.wal_number &&
-            number <= batch.committed.wal_number &&
-            (next == 0 || number < next)) {
-          next = number;
-        }
-      }
-      if (next == 0) {
-        return Status::NotFound(
-            "no WAL after " + std::to_string(cur.wal_number) +
-            " on disk (retention gap)");
-      }
-      cur = {next, 0};
+    // Every byte below the committed frontier (or below the end of a
+    // sealed segment) is a whole, CRC-valid record; anything else is
+    // damage.
+    std::string_view header;
+    AUTHIDX_RETURN_NOT_OK(
+        file->Read(cur.offset, kWalRecordHeaderBytes, &buf, &header));
+    if (header.size() < kWalRecordHeaderBytes) {
+      return DamagedBelowFrontier(cur.wal_number, cur.offset);
     }
+    const uint32_t expected = crc32c::Unmask(DecodeFixed32(header.data()));
+    const uint64_t length = DecodeFixed32(header.data() + 4);
+    const uint64_t record_bytes = kWalRecordHeaderBytes + length;
+    if (record_bytes > limit - cur.offset) {
+      return DamagedBelowFrontier(cur.wal_number, cur.offset);
+    }
+    if (!batch.records.empty() && batch_bytes + record_bytes > max_bytes) {
+      break;
+    }
+    std::string_view payload;
+    AUTHIDX_RETURN_NOT_OK(file->Read(cur.offset + kWalRecordHeaderBytes,
+                                     static_cast<size_t>(length), &buf,
+                                     &payload));
+    if (payload.size() != length || crc32c::Value(payload) != expected) {
+      return DamagedBelowFrontier(cur.wal_number, cur.offset);
+    }
+    cur.offset += record_bytes;
+    if (record_bytes > max_bytes) {
+      // Alone in its batch: ship it as pieces a frame can carry.
+      AUTHIDX_RETURN_NOT_OK(SplitRecord(payload, max_bytes, &batch.records));
+      break;
+    }
+    batch.records.emplace_back(payload);
+    batch_bytes += record_bytes;
   }
   return batch;
 }
 
-ReplicationApplier::ReplicationApplier(StorageEngine* engine, std::string dir,
-                                       Env* env)
-    : engine_(engine),
-      dir_(std::move(dir)),
-      env_(env != nullptr ? env : Env::Default()) {}
+ReplicationApplier::ReplicationApplier(std::string dir, Env* env)
+    : dir_(std::move(dir)), env_(env != nullptr ? env : Env::Default()) {}
 
 std::string ReplicationApplier::position_path() const {
   return dir_ + "/" + kPositionFileName;
-}
-
-Status ReplicationApplier::Apply(std::string_view record) {
-  return engine_->ApplyReplicated(record);
 }
 
 Result<WalPosition> ReplicationApplier::LoadPosition() {
   Result<std::string> data = env_->ReadFileToString(position_path());
   if (!data.ok()) {
     if (data.status().IsNotFound()) {
-      return WalPosition{};  // Fresh follower: bootstrap needed.
+      return WalPosition{};  // Fresh follower: read from the start.
     }
     return data.status().WithContext("reading replication position");
   }
   if (data->size() != kPositionFileBytes) {
-    // A torn sidecar is recoverable by re-bootstrap; treat like absent.
+    // A torn sidecar is recoverable by re-reading from the start (the
+    // apply path skips what the follower already holds).
     return WalPosition{};
   }
   WalPosition pos;

@@ -4,9 +4,13 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "authidx/model/serde.h"
+#include "authidx/obs/log.h"
 #include "authidx/text/collate.h"
 #include "authidx/workload/corpus.h"
 #include "authidx/workload/sample_data.h"
@@ -220,6 +224,81 @@ TEST(AuthorIndexPersistenceTest, RecoveryFromWalWithoutFlush) {
   ASSERT_TRUE(catalog.ok()) << catalog.status();
   ASSERT_EQ((*catalog)->entry_count(), 1u);
   EXPECT_EQ(*(*catalog)->GetEntry(0), entry);
+  std::filesystem::remove_all(dir);
+}
+
+// Restart is visible as phases: the engine's open scan, then the
+// catalog rebuilt from one replay of the log.
+TEST(AuthorIndexPersistenceTest, OpenLogsEngineOpenThenCatalogReady) {
+  std::string dir = ::testing::TempDir() + "/authoridx_ready";
+  std::filesystem::remove_all(dir);
+  {
+    auto catalog = AuthorIndex::OpenPersistent(dir);
+    ASSERT_TRUE(catalog.ok()) << catalog.status();
+    ASSERT_TRUE((*catalog)->AddAll(*workload::LoadSampleEntries()).ok());
+    ASSERT_TRUE((*catalog)->Flush().ok());
+    ASSERT_TRUE((*catalog)->Add((*workload::LoadSampleEntries())[0]).ok());
+  }
+  const size_t entries = workload::LoadSampleEntries()->size() + 1;
+  const uint64_t log_bytes =
+      std::filesystem::file_size(storage::WalFileName(dir, 1)) +
+      std::filesystem::file_size(storage::WalFileName(dir, 2));
+
+  obs::Logger logger(obs::LogLevel::kInfo);
+  auto sink = std::make_unique<obs::VectorSink>();
+  obs::VectorSink* lines = sink.get();
+  logger.AddSink(std::move(sink));
+  storage::EngineOptions options;
+  options.logger = &logger;
+  auto catalog = AuthorIndex::OpenPersistent(dir, options);
+  ASSERT_TRUE(catalog.ok()) << catalog.status();
+  ASSERT_EQ((*catalog)->entry_count(), entries);
+
+  auto index_of = [&](std::string_view needle) {
+    const auto& all = lines->lines();
+    for (size_t i = 0; i < all.size(); ++i) {
+      if (all[i].find(needle) != std::string::npos) {
+        return i;
+      }
+    }
+    ADD_FAILURE() << "no log line contains " << needle;
+    return all.size();
+  };
+  const size_t open_line = index_of("event=engine_open");
+  const size_t ready_line = index_of("event=catalog_ready");
+  EXPECT_LT(open_line, ready_line);
+  const std::string& open = lines->lines()[open_line];
+  EXPECT_NE(open.find("segments=3"), std::string::npos) << open;
+  EXPECT_NE(open.find("duration_ns="), std::string::npos) << open;
+  const std::string& ready = lines->lines()[ready_line];
+  EXPECT_NE(ready.find("entries=" + std::to_string(entries)),
+            std::string::npos)
+      << ready;
+  EXPECT_NE(ready.find("bytes_replayed=" + std::to_string(log_bytes)),
+            std::string::npos)
+      << ready;
+  EXPECT_NE(ready.find("duration_ns="), std::string::npos) << ready;
+  std::filesystem::remove_all(dir);
+}
+
+// Ids are assigned in log order, so a log whose entry ids skip one
+// cannot be this catalog's: the open fails instead of renumbering.
+TEST(AuthorIndexPersistenceTest, NonDenseEntryIdsInTheLogAreCorruption) {
+  std::string dir = ::testing::TempDir() + "/authoridx_sparse";
+  std::filesystem::remove_all(dir);
+  {
+    auto engine = storage::StorageEngine::Open(dir, {});
+    ASSERT_TRUE(engine.ok()) << engine.status();
+    const std::string value =
+        EncodeEntryToString((*workload::LoadSampleEntries())[0]);
+    ASSERT_TRUE((*engine)->Put(std::string("e\0\0\0\0", 5), value).ok());
+    ASSERT_TRUE((*engine)->Put(std::string("e\0\0\0\2", 5), value).ok());
+  }
+  auto catalog = AuthorIndex::OpenPersistent(dir);
+  ASSERT_FALSE(catalog.ok());
+  EXPECT_TRUE(catalog.status().IsCorruption()) << catalog.status();
+  EXPECT_NE(catalog.status().ToString().find("not dense"), std::string::npos)
+      << catalog.status();
   std::filesystem::remove_all(dir);
 }
 

@@ -102,12 +102,9 @@ class SlowSyncEnv final : public Env {
   Env* base_;
 };
 
-TEST(EngineConcurrencyTest, ParallelWritersAndReadersWithBackgroundWork) {
+TEST(EngineConcurrencyTest, ParallelWritersReadersAndSegmentRolls) {
   std::string dir = FreshDir("rw");
-  EngineOptions options;
-  options.memtable_bytes = 16 * 1024;  // Force seals + flushes mid-run.
-  options.l0_compaction_trigger = 4;   // And background compactions.
-  auto opened = StorageEngine::Open(dir, options);
+  auto opened = StorageEngine::Open(dir, EngineOptions{});
   ASSERT_TRUE(opened.ok()) << opened.status();
   auto& engine = *opened;
 
@@ -125,6 +122,11 @@ TEST(EngineConcurrencyTest, ParallelWritersAndReadersWithBackgroundWork) {
         if (!engine->Put(key, value).ok()) {
           ++write_failures;
         }
+        // Writer 0 also rolls the log now and then, so replays race
+        // segment rolls as well as appends.
+        if (w == 0 && i % 50 == 49 && !engine->Flush().ok()) {
+          ++write_failures;
+        }
       }
     });
   }
@@ -135,9 +137,9 @@ TEST(EngineConcurrencyTest, ParallelWritersAndReadersWithBackgroundWork) {
         int w = static_cast<int>(probe % kWriters);
         int i = static_cast<int>(probe % kKeysPerWriter);
         probe = probe * 2862933555777941757ULL + 3037000493ULL;
-        // Iterators pin their own snapshot; scanning one while flushes
-        // and compactions retire files underneath must stay valid.
-        auto state = tests::ScanToMap(*engine->NewIterator());
+        // A replay reads up to the committed position it captured at
+        // its start; appends and rolls landing meanwhile never tear it.
+        auto state = tests::ScanToMap(*engine);
         ASSERT_TRUE(state.ok()) << state.status();
         auto found = state->find(StringPrintf("w%d-key%05d", w, i));
         if (found != state->end()) {
@@ -157,7 +159,7 @@ TEST(EngineConcurrencyTest, ParallelWritersAndReadersWithBackgroundWork) {
 
   EXPECT_EQ(write_failures.load(), 0);
   EXPECT_TRUE(engine->background_error().ok());
-  auto state = tests::ScanToMap(*engine->NewIterator());
+  auto state = tests::ScanToMap(*engine);
   ASSERT_TRUE(state.ok()) << state.status();
   for (int w = 0; w < kWriters; ++w) {
     for (int i = 0; i < kKeysPerWriter; ++i) {
@@ -166,20 +168,13 @@ TEST(EngineConcurrencyTest, ParallelWritersAndReadersWithBackgroundWork) {
       EXPECT_EQ(found->second, StringPrintf("value-%d-%d", w, i));
     }
   }
-  EXPECT_GT(engine->stats().flushes, 0u);
+  EXPECT_EQ(engine->stats().segments, 5u);
   ASSERT_TRUE(engine->Close().ok());
 }
 
 TEST(EngineConcurrencyTest, MetricsAndIntegrityScansDuringWrites) {
   std::string dir = FreshDir("verify");
-  EngineOptions options;
-  options.memtable_bytes = 16 * 1024;
-  // Compaction disabled: VerifyIntegrity scans files without the engine
-  // lock, so a concurrent compaction may legally retire a table mid-scan
-  // and surface as a transient per-file error. With flush-only
-  // background work the store stays append-only and every scan is clean.
-  options.l0_compaction_trigger = 1 << 20;
-  auto opened = StorageEngine::Open(dir, options);
+  auto opened = StorageEngine::Open(dir, EngineOptions{});
   ASSERT_TRUE(opened.ok()) << opened.status();
   auto& engine = *opened;
 
@@ -189,14 +184,15 @@ TEST(EngineConcurrencyTest, MetricsAndIntegrityScansDuringWrites) {
       ASSERT_TRUE(
           engine->Put(StringPrintf("key%05d", i), std::string(100, 'v'))
               .ok());
+      if (i % 100 == 99) {
+        ASSERT_TRUE(engine->Flush().ok());
+      }
     }
     stop.store(true, std::memory_order_relaxed);
   });
   while (!stop.load(std::memory_order_relaxed)) {
-    auto report = engine->VerifyIntegrity();
-    ASSERT_TRUE(report.ok()) << report.status();
-    EXPECT_EQ(report->corrupt_files, 0u);
-    EXPECT_TRUE(report->manifest_status.ok()) << report->manifest_status;
+    Status verified = engine->VerifyIntegrity();
+    EXPECT_TRUE(verified.ok()) << verified;
     (void)engine->stats();
     (void)engine->metrics().Snapshot();
     EXPECT_FALSE(engine->degraded());
@@ -205,11 +201,9 @@ TEST(EngineConcurrencyTest, MetricsAndIntegrityScansDuringWrites) {
   ASSERT_TRUE(engine->Close().ok());
 }
 
-TEST(EngineConcurrencyTest, CloseRacesWithWritersFlushAndCompact) {
+TEST(EngineConcurrencyTest, CloseRacesWithWritersAndFlush) {
   std::string dir = FreshDir("close");
   EngineOptions options;
-  options.memtable_bytes = 16 * 1024;
-  options.l0_compaction_trigger = 4;
   auto opened = StorageEngine::Open(dir, options);
   ASSERT_TRUE(opened.ok()) << opened.status();
   auto& engine = *opened;
@@ -238,12 +232,6 @@ TEST(EngineConcurrencyTest, CloseRacesWithWritersFlushAndCompact) {
       }
     }
   });
-  threads.emplace_back([&] {
-    Status s = engine->Compact();
-    if (!s.ok()) {
-      EXPECT_TRUE(s.IsFailedPrecondition()) << s;
-    }
-  });
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   ASSERT_TRUE(engine->Close().ok());
   for (std::thread& thread : threads) {
@@ -254,9 +242,8 @@ TEST(EngineConcurrencyTest, CloseRacesWithWritersFlushAndCompact) {
   // Everything that was acked before Close is durable across reopen.
   auto reopened = StorageEngine::Open(dir, options);
   ASSERT_TRUE(reopened.ok()) << reopened.status();
-  auto report = (*reopened)->VerifyIntegrity();
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->corrupt_files, 0u);
+  Status verified = (*reopened)->VerifyIntegrity();
+  EXPECT_TRUE(verified.ok()) << verified;
   ASSERT_TRUE((*reopened)->Close().ok());
 }
 
@@ -304,7 +291,7 @@ TEST(EngineConcurrencyTest, GroupCommitAmortizesSyncsAcrossWriters) {
 
   // Group commit must not have weakened durability: everything acked is
   // there after reopen with no Close (the crash case).
-  auto state = tests::ScanToMap(*engine->NewIterator());
+  auto state = tests::ScanToMap(*engine);
   ASSERT_TRUE(state.ok()) << state.status();
   for (int w = 0; w < kWriters; ++w) {
     for (int i = 0; i < kWritesEach; ++i) {

@@ -6,6 +6,7 @@
 
 #include <filesystem>
 #include <map>
+#include <vector>
 
 #include "authidx/common/random.h"
 #include "authidx/common/strings.h"
@@ -27,61 +28,49 @@ class CrashRecoveryTest : public ::testing::Test {
   std::string dir_;
 };
 
-// Every prefix of a synced WAL must recover to a prefix of the applied
-// operations — never to garbage, never to out-of-order application.
+// Every prefix of the newest segment must recover to a prefix of the
+// applied operations — never to garbage, never to out-of-order
+// application. The sealed segment before it stays whole throughout.
 TEST_F(CrashRecoveryTest, EveryWalTruncationRecoversAPrefix) {
-  // Build a WAL of known operations.
   std::vector<std::pair<std::string, std::string>> ops;  // key -> value.
-  std::string wal_bytes;
-  uint64_t wal_number;
+  std::string sealed_bytes, newest_bytes;
+  constexpr size_t kSealedOps = 10;
   {
     EngineOptions options;
     options.sync_writes = true;
     auto engine = StorageEngine::Open(dir_, options);
     ASSERT_TRUE(engine.ok());
     for (int i = 0; i < 30; ++i) {
+      if (static_cast<size_t>(i) == kSealedOps) {
+        ASSERT_TRUE((*engine)->Flush().ok());  // Seals segment 1.
+      }
       std::string key = StringPrintf("key%02d", i % 10);
       std::string value = StringPrintf("value%02d", i);
       ASSERT_TRUE((*engine)->Put(key, value).ok());
       ops.emplace_back(key, value);
     }
-    Manifest manifest = *Manifest::Load(Env::Default(), dir_);
-    wal_number = manifest.wal_number;
-    wal_bytes = *Env::Default()->ReadFileToString(
-        WalFileName(dir_, wal_number));
-    // Abandon without Close: the directory now holds manifest + WAL.
-    // (Close would flush; instead we recreate state below per trial.)
+    sealed_bytes = *Env::Default()->ReadFileToString(WalFileName(dir_, 1));
+    newest_bytes = *Env::Default()->ReadFileToString(WalFileName(dir_, 2));
     ASSERT_TRUE((*engine)->Close().ok());
   }
-  std::string manifest_template;
-  {
-    Manifest manifest = *Manifest::Load(Env::Default(), dir_);
-    for (const FileMeta& meta : manifest.files) {
-      ASSERT_TRUE(Env::Default()
-                      ->RemoveFile(TableFileName(dir_, meta.file_number))
-                      .ok());
-    }
-    manifest.files.clear();
-    manifest.wal_number = wal_number;
-    manifest_template = manifest.Encode();
-  }
 
-  // Step through truncation points (every byte would be slow with
-  // reopen-flush; step 7 still covers all header/payload phases).
-  for (size_t cut = 0; cut <= wal_bytes.size(); cut += 7) {
+  // Step through truncation points of the newest segment (step 7 still
+  // covers all header/payload phases).
+  for (size_t cut = 0; cut <= newest_bytes.size(); cut += 7) {
     std::filesystem::remove_all(dir_);
     ASSERT_TRUE(Env::Default()->CreateDirIfMissing(dir_).ok());
     ASSERT_TRUE(Env::Default()
-                    ->WriteStringToFileSync(ManifestFileName(dir_),
-                                            manifest_template)
+                    ->WriteStringToFileSync(WalFileName(dir_, 1),
+                                            sealed_bytes)
                     .ok());
     ASSERT_TRUE(Env::Default()
-                    ->WriteStringToFileSync(WalFileName(dir_, wal_number),
-                                            wal_bytes.substr(0, cut))
+                    ->WriteStringToFileSync(WalFileName(dir_, 2),
+                                            newest_bytes.substr(0, cut))
                     .ok());
     auto engine = StorageEngine::Open(dir_, EngineOptions{});
     ASSERT_TRUE(engine.ok()) << "cut=" << cut << ": " << engine.status();
     uint64_t replayed = (*engine)->stats().wal_replayed_records;
+    ASSERT_GE(replayed, kSealedOps);
     ASSERT_LE(replayed, ops.size());
     // The recovered state must equal applying exactly the first
     // `replayed` operations.
@@ -89,7 +78,7 @@ TEST_F(CrashRecoveryTest, EveryWalTruncationRecoversAPrefix) {
     for (size_t i = 0; i < replayed; ++i) {
       model[ops[i].first] = ops[i].second;
     }
-    auto state = tests::ScanToMap(*(*engine)->NewIterator());
+    auto state = tests::ScanToMap(**engine);
     ASSERT_TRUE(state.ok()) << "cut=" << cut << ": " << state.status();
     ASSERT_EQ(*state, model) << "cut=" << cut;
   }
@@ -98,22 +87,15 @@ TEST_F(CrashRecoveryTest, EveryWalTruncationRecoversAPrefix) {
 TEST_F(CrashRecoveryTest, ReopenLoopTortureAgainstModel) {
   Random rng(777);
   std::map<std::string, std::string> model;
-  EngineOptions options;
-  options.memtable_bytes = 8 * 1024;
-  options.l0_compaction_trigger = 2;
   for (int session = 0; session < 8; ++session) {
-    auto engine = StorageEngine::Open(dir_, options);
+    auto engine = StorageEngine::Open(dir_, EngineOptions{});
     ASSERT_TRUE(engine.ok()) << engine.status();
     // Recovered state must match the model exactly at session start.
-    auto it = (*engine)->NewIterator();
-    auto expected = model.begin();
-    for (it->SeekToFirst(); it->Valid(); it->Next(), ++expected) {
-      ASSERT_NE(expected, model.end()) << "session " << session;
-      ASSERT_EQ(it->key(), expected->first);
-      ASSERT_EQ(it->value(), expected->second);
-    }
-    ASSERT_EQ(expected, model.end()) << "session " << session;
-    // More random ops.
+    auto state = tests::ScanToMap(**engine);
+    ASSERT_TRUE(state.ok()) << "session " << session << ": "
+                            << state.status();
+    ASSERT_EQ(*state, model) << "session " << session;
+    // More random ops, with a flush (segment roll) midway.
     for (int op = 0; op < 400; ++op) {
       std::string key = StringPrintf("k%03llu",
           static_cast<unsigned long long>(rng.Uniform(150)));
@@ -121,6 +103,9 @@ TEST_F(CrashRecoveryTest, ReopenLoopTortureAgainstModel) {
           static_cast<unsigned long long>(rng.Next64() % 100000));
       ASSERT_TRUE((*engine)->Put(key, value).ok());
       model[key] = value;
+      if (op == 200) {
+        ASSERT_TRUE((*engine)->Flush().ok());
+      }
     }
     ASSERT_TRUE((*engine)->Close().ok());
   }
@@ -131,7 +116,6 @@ TEST_F(CrashRecoveryTest, ReopenLoopTortureAgainstModel) {
 // bumped authidx_engine_recovery_records_total counter.
 TEST_F(CrashRecoveryTest, RecoveryEmitsStructuredEventsAndCounter) {
   std::string wal_bytes;
-  uint64_t wal_number;
   {
     EngineOptions options;
     options.sync_writes = true;
@@ -143,33 +127,16 @@ TEST_F(CrashRecoveryTest, RecoveryEmitsStructuredEventsAndCounter) {
                             StringPrintf("value%02d", i))
                       .ok());
     }
-    Manifest manifest = *Manifest::Load(Env::Default(), dir_);
-    wal_number = manifest.wal_number;
-    wal_bytes =
-        *Env::Default()->ReadFileToString(WalFileName(dir_, wal_number));
+    wal_bytes = *Env::Default()->ReadFileToString(WalFileName(dir_, 1));
     ASSERT_TRUE((*engine)->Close().ok());
   }
-  // Recreate the pre-crash directory: manifest referencing no tables
-  // plus the WAL cut mid-record (a torn tail).
-  {
-    Manifest manifest = *Manifest::Load(Env::Default(), dir_);
-    for (const FileMeta& meta : manifest.files) {
-      ASSERT_TRUE(Env::Default()
-                      ->RemoveFile(TableFileName(dir_, meta.file_number))
-                      .ok());
-    }
-    manifest.files.clear();
-    manifest.wal_number = wal_number;
-    ASSERT_TRUE(Env::Default()
-                    ->WriteStringToFileSync(ManifestFileName(dir_),
-                                            manifest.Encode())
-                    .ok());
-    ASSERT_TRUE(Env::Default()
-                    ->WriteStringToFileSync(
-                        WalFileName(dir_, wal_number),
-                        wal_bytes.substr(0, wal_bytes.size() - 3))
-                    .ok());
-  }
+  // Recreate the pre-crash directory: the segment cut mid-record (a
+  // torn tail).
+  ASSERT_TRUE(Env::Default()
+                  ->WriteStringToFileSync(
+                      WalFileName(dir_, 1),
+                      wal_bytes.substr(0, wal_bytes.size() - 3))
+                  .ok());
 
   obs::Logger logger(obs::LogLevel::kInfo);
   auto sink = std::make_unique<obs::VectorSink>();

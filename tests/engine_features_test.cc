@@ -1,4 +1,6 @@
-// Tests for the storage-engine extension of per-block compression.
+// Tests for the segmented log's on-disk features: segment discovery and
+// numbering, rejection of stores from the earlier LSM format, and
+// bounded-memory replay of records larger than the read buffer.
 
 #include <gtest/gtest.h>
 
@@ -26,96 +28,110 @@ class EngineFeaturesTest : public ::testing::Test {
     return std::move(engine).value();
   }
 
-  void FillCompressible(StorageEngine* engine, int n) {
-    for (int i = 0; i < n; ++i) {
-      // Repetitive values compress extremely well.
-      ASSERT_TRUE(engine
-                      ->Put(StringPrintf("author/%06d/entry", i),
-                            std::string(200, static_cast<char>('a' + (i % 3))))
-                      .ok());
-    }
-  }
-
-  uint64_t TableBytes() {
-    uint64_t total = 0;
-    auto names = Env::Default()->ListDir(dir_);
-    EXPECT_TRUE(names.ok());
-    for (const auto& name : *names) {
-      if (name.size() > 4 && name.substr(name.size() - 4) == ".tbl") {
-        total += *Env::Default()->FileSize(dir_ + "/" + name);
+  // Three segments: two sealed by Flush, the third empty.
+  void WriteThreeSegments() {
+    auto engine = Open();
+    for (int i = 0; i < 30; ++i) {
+      ASSERT_TRUE(engine->Put(StringPrintf("k%02d", i), "v").ok());
+      if (i % 15 == 14) {
+        ASSERT_TRUE(engine->Flush().ok());
       }
     }
-    return total;
+    ASSERT_EQ(engine->stats().segments, 3u);
+    ASSERT_TRUE(engine->Close().ok());
   }
 
   std::string dir_;
 };
 
-TEST_F(EngineFeaturesTest, CompressionShrinksTablesAndRoundTrips) {
-  uint64_t raw_bytes, compressed_bytes;
+TEST_F(EngineFeaturesTest, ReopenAppendsToTheEmptyNewestSegment) {
+  WriteThreeSegments();
   {
     auto engine = Open();
-    FillCompressible(engine.get(), 5000);
-    ASSERT_TRUE(engine->Compact().ok());
-    raw_bytes = TableBytes();
-    ASSERT_TRUE(engine->Close().ok());
+    // Segment 3 was empty: it is reused, not joined by a fourth.
+    EXPECT_EQ(engine->stats().segments, 3u);
+    EXPECT_EQ(engine->stats().wal_replayed_records, 30u);
+    ASSERT_TRUE(engine->Put("k30", "v").ok());
   }
-  std::filesystem::remove_all(dir_);
-  {
-    EngineOptions options;
-    options.compress_blocks = true;
-    auto engine = Open(options);
-    FillCompressible(engine.get(), 5000);
-    ASSERT_TRUE(engine->Compact().ok());
-    compressed_bytes = TableBytes();
-    // Everything readable while compressed.
-    auto state = tests::ScanToMap(*engine->NewIterator());
-    ASSERT_TRUE(state.ok()) << state.status();
-    for (int i = 0; i < 5000; i += 317) {
-      auto hit = state->find(StringPrintf("author/%06d/entry", i));
-      ASSERT_NE(hit, state->end()) << i;
-      EXPECT_EQ(hit->second.size(), 200u);
-    }
-    ASSERT_TRUE(engine->Close().ok());
-  }
-  EXPECT_LT(compressed_bytes, raw_bytes / 2)
-      << "raw=" << raw_bytes << " compressed=" << compressed_bytes;
-  // Reopen compressed store (options do not need to match: block type is
-  // self-describing).
+  // Segment 3 now holds a record, so the next open starts segment 4.
   auto engine = Open();
-  // Full scan decodes every compressed block.
-  auto state = tests::ScanToMap(*engine->NewIterator());
+  EXPECT_EQ(engine->stats().segments, 4u);
+  EXPECT_EQ(engine->CommittedWalPosition(), (WalPosition{4, 0}));
+  auto state = tests::ScanToMap(*engine);
   ASSERT_TRUE(state.ok()) << state.status();
-  EXPECT_EQ((*state)["author/000000/entry"].size(), 200u);
-  EXPECT_EQ(state->size(), 5000u);
+  EXPECT_EQ(state->size(), 31u);
 }
 
-TEST_F(EngineFeaturesTest, MixedCompressedAndRawRuns) {
+TEST_F(EngineFeaturesTest, MissingSegmentNumberIsCorruption) {
+  WriteThreeSegments();
+  ASSERT_TRUE(Env::Default()->RemoveFile(WalFileName(dir_, 2)).ok());
+  auto engine = StorageEngine::Open(dir_, EngineOptions{});
+  ASSERT_FALSE(engine.ok());
+  EXPECT_TRUE(engine.status().IsCorruption()) << engine.status();
+  EXPECT_NE(engine.status().ToString().find("000002.wal"),
+            std::string::npos)
+      << engine.status();
+}
+
+TEST_F(EngineFeaturesTest, StoreFromTheLsmFormatIsRejected) {
+  ASSERT_TRUE(Env::Default()->CreateDirIfMissing(dir_).ok());
+  ASSERT_TRUE(Env::Default()
+                  ->WriteStringToFileSync(dir_ + "/MANIFEST", "old")
+                  .ok());
+  auto engine = StorageEngine::Open(dir_, EngineOptions{});
+  ASSERT_FALSE(engine.ok());
+  EXPECT_TRUE(engine.status().IsCorruption()) << engine.status();
+  EXPECT_NE(engine.status().ToString().find(dir_ + "/MANIFEST"),
+            std::string::npos)
+      << engine.status();
+
+  std::filesystem::remove_all(dir_);
+  ASSERT_TRUE(Env::Default()->CreateDirIfMissing(dir_).ok());
+  ASSERT_TRUE(Env::Default()
+                  ->WriteStringToFileSync(dir_ + "/000007.tbl", "old")
+                  .ok());
+  engine = StorageEngine::Open(dir_, EngineOptions{});
+  ASSERT_FALSE(engine.ok());
+  EXPECT_TRUE(engine.status().IsCorruption()) << engine.status();
+  EXPECT_NE(engine.status().ToString().find("000007.tbl"),
+            std::string::npos)
+      << engine.status();
+}
+
+// A batch several times the replay buffer, with values that straddle
+// every chunk boundary: the streaming CRC and decode passes must yield
+// exactly what was written, in order.
+TEST_F(EngineFeaturesTest, RecordLargerThanTheReadBufferReplaysExactly) {
+  WriteBatch batch;
+  std::vector<std::pair<std::string, std::string>> want;
+  size_t bytes = 0;
+  for (int i = 0; bytes < 3 * kWalReadBufferBytes + 12345; ++i) {
+    std::string key = StringPrintf("big%06d", i);
+    std::string value(static_cast<size_t>(50 + (i * 37) % 400),
+                      static_cast<char>('a' + i % 26));
+    bytes += key.size() + value.size() + 4;
+    batch.Put(key, value);
+    want.emplace_back(std::move(key), std::move(value));
+  }
   {
-    auto engine = Open();  // Raw.
-    FillCompressible(engine.get(), 1000);
-    ASSERT_TRUE(engine->Close().ok());
+    auto engine = Open();
+    ASSERT_TRUE(engine->Put("before", "1").ok());
+    ASSERT_TRUE(engine->Apply(batch).ok());
+    ASSERT_TRUE(engine->Put("after", "2").ok());
   }
-  EngineOptions options;
-  options.compress_blocks = true;
-  auto engine = Open(options);
-  for (int i = 1000; i < 2000; ++i) {
-    ASSERT_TRUE(engine
-                    ->Put(StringPrintf("author/%06d/entry", i),
-                          std::string(200, 'z'))
-                    .ok());
-  }
-  ASSERT_TRUE(engine->Flush().ok());
-  // Reads span a raw run and a compressed run.
-  auto state = tests::ScanToMap(*engine->NewIterator());
-  ASSERT_TRUE(state.ok()) << state.status();
-  EXPECT_EQ(state->count("author/000500/entry"), 1u);
-  EXPECT_EQ(state->count("author/001500/entry"), 1u);
-  ASSERT_TRUE(engine->Compact().ok());
-  state = tests::ScanToMap(*engine->NewIterator());
-  ASSERT_TRUE(state.ok()) << state.status();
-  EXPECT_EQ(state->count("author/000500/entry"), 1u);
-  EXPECT_EQ(state->count("author/001500/entry"), 1u);
+  want.insert(want.begin(), {"before", "1"});
+  want.emplace_back("after", "2");
+  auto engine = Open();
+  EXPECT_EQ(engine->stats().wal_replayed_records, 3u);
+  std::vector<std::pair<std::string, std::string>> seen;
+  auto replayed = engine->Replay([&](std::string_view k, std::string_view v) {
+    seen.emplace_back(std::string(k), std::string(v));
+    return Status::OK();
+  });
+  ASSERT_TRUE(replayed.ok()) << replayed.status();
+  EXPECT_EQ(replayed->records, 3u);
+  EXPECT_EQ(seen, want);
+  EXPECT_TRUE(engine->VerifyIntegrity().ok());
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
 // Fault injection: FaultEnv (tests/fault_env.h) starts failing
 // write-path ops on command, verifying the engine surfaces IOError and
-// degrades instead of corrupting state, that transient failures are
-// absorbed by the retry policy, and that a store written before the
-// fault still recovers. The exhaustive every-k crash-consistency sweep
+// degrades instead of corrupting state, and that a store written before
+// the fault still recovers. The exhaustive every-k crash-consistency sweep
 // lives in fault_sweep_test.cc.
 
 #include <gtest/gtest.h>
@@ -10,6 +9,7 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <fstream>
 #include <string>
 
 #include "authidx/common/env.h"
@@ -31,7 +31,6 @@ class FaultInjectionTest : public ::testing::Test {
            "_" + std::to_string(::getpid());
     std::filesystem::remove_all(dir_);
     options_.env = &faulty_env_;
-    options_.retry_base_delay_us = 0;  // Keep retried tests instant.
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
@@ -49,11 +48,11 @@ TEST_F(FaultInjectionTest, PutSurfacesIOErrorWhenWalFails) {
   EXPECT_TRUE(s.IsIOError()) << s;
   // Reads keep working on the pre-fault state — even while the env
   // still fails, since scans never touch the write path.
-  auto state = tests::ScanToMap(*(*engine)->NewIterator());
+  auto state = tests::ScanToMap(**engine);
   ASSERT_TRUE(state.ok()) << state.status();
   EXPECT_EQ((*state)["before"], "ok");
   faulty_env_.StopFailing();
-  state = tests::ScanToMap(*(*engine)->NewIterator());
+  state = tests::ScanToMap(**engine);
   ASSERT_TRUE(state.ok()) << state.status();
   EXPECT_EQ((*state)["before"], "ok");
 }
@@ -67,8 +66,8 @@ TEST_F(FaultInjectionTest, FlushFailureIsReportedNotSilent) {
   faulty_env_.FailAllFromNow();
   EXPECT_TRUE((*engine)->Flush().IsIOError());
   faulty_env_.StopFailing();
-  // Data still served from the memtable.
-  auto state = tests::ScanToMap(*(*engine)->NewIterator());
+  // Data still served from the log.
+  auto state = tests::ScanToMap(**engine);
   ASSERT_TRUE(state.ok()) << state.status();
   EXPECT_EQ((*state)["k050"], "v");
 }
@@ -91,7 +90,7 @@ TEST_F(FaultInjectionTest, SyncedWritesBeforeFaultSurviveReopen) {
   auto engine = StorageEngine::Open(dir_, EngineOptions{});
   ASSERT_TRUE(engine.ok()) << engine.status();
   // All synced pre-fault writes recovered from the WAL.
-  auto state = tests::ScanToMap(*(*engine)->NewIterator());
+  auto state = tests::ScanToMap(**engine);
   ASSERT_TRUE(state.ok()) << state.status();
   for (int i = 0; i < 50; ++i) {
     EXPECT_EQ(state->count(StringPrintf("k%03d", i)), 1u) << i;
@@ -107,33 +106,10 @@ TEST_F(FaultInjectionTest, OpenFailsCleanlyWhenDirUncreatable) {
   EXPECT_TRUE(engine.status().IsIOError()) << engine.status();
 }
 
-// A single transient failure during flush must be absorbed by the retry
-// policy: the flush succeeds, nothing becomes sticky, and the retry is
-// visible in the metrics.
-TEST_F(FaultInjectionTest, TransientFlushFailureIsRetried) {
-  auto engine = StorageEngine::Open(dir_, options_);
-  ASSERT_TRUE(engine.ok());
-  for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE((*engine)->Put(StringPrintf("k%03d", i), "v").ok());
-  }
-  // Fail exactly the next write-path op: the table file creation of the
-  // first flush attempt.
-  faulty_env_.FailOnceAt(faulty_env_.write_ops());
-  EXPECT_TRUE((*engine)->Flush().ok());
-  EXPECT_FALSE((*engine)->degraded());
-  EXPECT_EQ(faulty_env_.faults_injected(), 1u);
-  auto snap = (*engine)->metrics().Snapshot();
-  const auto* retries = snap.Find("authidx_retries_total{op=\"flush\"}");
-  ASSERT_NE(retries, nullptr);
-  EXPECT_EQ(retries->counter, 1u);
-  auto state = tests::ScanToMap(*(*engine)->NewIterator());
-  ASSERT_TRUE(state.ok()) << state.status();
-  EXPECT_EQ((*state)["k010"], "v");
-}
-
-// Exhausting the retry budget on a persistent failure trips the sticky
-// background error.
-TEST_F(FaultInjectionTest, ExhaustedRetriesTripBackgroundError) {
+// A failed flush trips the sticky background error: nothing is
+// retried, since the flush itself (sync, then the next segment) is
+// what makes writes durable.
+TEST_F(FaultInjectionTest, FlushFailureTripsBackgroundError) {
   auto engine = StorageEngine::Open(dir_, options_);
   ASSERT_TRUE(engine.ok());
   for (int i = 0; i < 20; ++i) {
@@ -144,49 +120,48 @@ TEST_F(FaultInjectionTest, ExhaustedRetriesTripBackgroundError) {
   EXPECT_TRUE((*engine)->degraded());
   EXPECT_TRUE((*engine)->background_error().IsIOError());
   auto snap = (*engine)->metrics().Snapshot();
-  const auto* retries = snap.Find("authidx_retries_total{op=\"flush\"}");
-  ASSERT_NE(retries, nullptr);
-  // max_attempts = 3 default: two retries before giving up.
-  EXPECT_EQ(retries->counter, 2u);
   const auto* bg = snap.Find("authidx_bg_errors_total");
   ASSERT_NE(bg, nullptr);
   EXPECT_EQ(bg->counter, 1u);
 }
 
-// The end-to-end degradation story with a compaction failure as the
-// trigger: the sticky error trips with op context, writes return it,
-// reads keep serving, and the gauge flips for scrapers.
-TEST_F(FaultInjectionTest, CompactionFailureDegradesEngineEndToEnd) {
-  auto engine = StorageEngine::Open(dir_, options_);
-  ASSERT_TRUE(engine.ok());
-  for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE((*engine)->Put(StringPrintf("k%03d", i), "v").ok());
+// The end-to-end degradation story with a segment roll as the trigger:
+// the old segment syncs, the next one cannot be created. The sticky
+// error trips with op context, writes return it, reads keep serving,
+// the gauge flips for scrapers, and a reopen finds every write.
+TEST_F(FaultInjectionTest, RollFailureDegradesEngineEndToEnd) {
+  {
+    auto engine = StorageEngine::Open(dir_, options_);
+    ASSERT_TRUE(engine.ok());
+    for (int i = 0; i < 50; ++i) {
+      ASSERT_TRUE((*engine)->Put(StringPrintf("k%03d", i), "v").ok());
+    }
+    // Op k is the roll's sync; op k+1 creates the next segment.
+    faulty_env_.FailOnceAt(faulty_env_.write_ops() + 1);
+    Status s = (*engine)->Flush();
+    EXPECT_TRUE(s.IsIOError()) << s;
+    EXPECT_TRUE((*engine)->degraded());
+    EXPECT_NE((*engine)->background_error().ToString().find("flush"),
+              std::string::npos)
+        << (*engine)->background_error();
+    faulty_env_.StopFailing();
+    Status rejected = (*engine)->Put("more", "x");
+    EXPECT_TRUE(rejected.IsIOError());
+    EXPECT_NE(rejected.ToString().find("degraded"), std::string::npos);
+    auto state = tests::ScanToMap(**engine);
+    ASSERT_TRUE(state.ok()) << state.status();
+    EXPECT_EQ((*state)["k025"], "v");
+    auto snap = (*engine)->metrics().Snapshot();
+    const auto* degraded = snap.Find("authidx_degraded");
+    ASSERT_NE(degraded, nullptr);
+    EXPECT_EQ(degraded->gauge, 1.0);
   }
-  ASSERT_TRUE((*engine)->Flush().ok());
-  // The memtable is now empty, so Compact's implicit flush is a no-op
-  // and the first failing op is compaction's own table write.
-  faulty_env_.FailAllFromNow();
-  Status s = (*engine)->Compact();
-  EXPECT_TRUE(s.IsIOError()) << s;
-  EXPECT_TRUE((*engine)->degraded());
-  EXPECT_NE((*engine)->background_error().ToString().find("compaction"),
-            std::string::npos)
-      << (*engine)->background_error();
-  faulty_env_.StopFailing();
-  Status rejected = (*engine)->Put("more", "x");
-  EXPECT_TRUE(rejected.IsIOError());
-  EXPECT_NE(rejected.ToString().find("degraded"), std::string::npos);
-  auto state = tests::ScanToMap(*(*engine)->NewIterator());
+  auto engine = StorageEngine::Open(dir_, EngineOptions{});
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  auto state = tests::ScanToMap(**engine);
   ASSERT_TRUE(state.ok()) << state.status();
-  EXPECT_EQ((*state)["k025"], "v");
-  auto snap = (*engine)->metrics().Snapshot();
-  const auto* degraded = snap.Find("authidx_degraded");
-  ASSERT_NE(degraded, nullptr);
-  EXPECT_EQ(degraded->gauge, 1.0);
-  const auto* retries =
-      snap.Find("authidx_retries_total{op=\"compaction\"}");
-  ASSERT_NE(retries, nullptr);
-  EXPECT_EQ(retries->counter, 2u);
+  EXPECT_EQ(state->size(), 50u);
+  EXPECT_EQ(state->count("more"), 0u);
 }
 
 // A WAL append torn mid-record by the fault (half the bytes reach disk)
@@ -207,59 +182,46 @@ TEST_F(FaultInjectionTest, TornFinalWalAppendIsDiscardedOnRecovery) {
   faulty_env_.StopFailing();
   auto engine = StorageEngine::Open(dir_, EngineOptions{});
   ASSERT_TRUE(engine.ok()) << engine.status();
-  auto state = tests::ScanToMap(*(*engine)->NewIterator());
+  auto state = tests::ScanToMap(**engine);
   ASSERT_TRUE(state.ok()) << state.status();
   for (int i = 0; i < 20; ++i) {
     EXPECT_EQ(state->count(StringPrintf("k%03d", i)), 1u) << i;
   }
   EXPECT_EQ(state->count("torn"), 0u);
-  auto report = (*engine)->VerifyIntegrity();
-  ASSERT_TRUE(report.ok()) << report.status();
-  EXPECT_TRUE(report->clean());
+  Status verified = (*engine)->VerifyIntegrity();
+  EXPECT_TRUE(verified.ok()) << verified;
 }
 
-// A failed obsolete-file unlink is best-effort: logged and counted, the
-// flush itself still succeeds, and the file is removed by a later GC
-// pass instead of leaking forever.
-TEST_F(FaultInjectionTest, FailedObsoleteFileRemovalIsRetriedLater) {
-  options_.sync_writes = true;
-  auto engine = StorageEngine::Open(dir_, options_);
-  ASSERT_TRUE(engine.ok());
-  for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE((*engine)->Put(StringPrintf("k%03d", i), "v").ok());
-  }
-  // Every unlink fails, everything else succeeds: the flush must still
-  // commit, only degrading GC.
-  faulty_env_.set_fail_removes(true);
-  ASSERT_TRUE((*engine)->Flush().ok()) << (*engine)->background_error();
-  EXPECT_FALSE((*engine)->degraded());
-  auto snap = (*engine)->metrics().Snapshot();
-  const auto* gc = snap.Find("authidx_gc_failures_total");
-  ASSERT_NE(gc, nullptr);
-  EXPECT_GE(gc->counter, 1u);
-  // The superseded WAL is still on disk (its unlink failed).
-  uint64_t stuck_faults = faulty_env_.faults_injected();
-  EXPECT_GE(stuck_faults, 1u);
-  // Once the filesystem recovers, the next flush sweeps the leftovers.
-  faulty_env_.set_fail_removes(false);
-  for (int i = 20; i < 40; ++i) {
-    ASSERT_TRUE((*engine)->Put(StringPrintf("k%03d", i), "v").ok());
-  }
-  ASSERT_TRUE((*engine)->Flush().ok());
-  auto state = tests::ScanToMap(*(*engine)->NewIterator());
-  ASSERT_TRUE(state.ok()) << state.status();
-  EXPECT_EQ((*state)["k030"], "v");
-  // Only the engine's WAL + table + manifest files remain in the dir:
-  // nothing the failed GC left behind outlives the sweep.
-  auto listing = faulty_env_.ListDir(dir_);
-  ASSERT_TRUE(listing.ok());
-  size_t wal_files = 0;
-  for (const std::string& name : *listing) {
-    if (name.find("wal") != std::string::npos) {
-      ++wal_files;
+// Cutting a torn tail off at open rewrites the newest segment (temp
+// file + rename). If that fails, Open fails and leaves the segment as
+// it was, so the next open on a healthy disk repairs it.
+TEST_F(FaultInjectionTest, FailedTailRepairFailsOpenAndIsRedoneNextTime) {
+  {
+    EngineOptions options;
+    options.sync_writes = true;
+    auto engine = StorageEngine::Open(dir_, options);
+    ASSERT_TRUE(engine.ok());
+    for (int i = 0; i < 20; ++i) {
+      ASSERT_TRUE((*engine)->Put(StringPrintf("k%03d", i), "v").ok());
     }
   }
-  EXPECT_EQ(wal_files, 1u) << "stale WALs not garbage-collected";
+  {
+    std::ofstream f(WalFileName(dir_, 1), std::ios::binary | std::ios::app);
+    f << "torn";
+  }
+  // Op k creates the (existing) directory; every later op — the
+  // repair's temp file, its writes, the rename — fails.
+  faulty_env_.FailFrom(faulty_env_.write_ops() + 1);
+  auto failed = StorageEngine::Open(dir_, options_);
+  EXPECT_TRUE(failed.status().IsIOError()) << failed.status();
+  faulty_env_.StopFailing();
+  auto engine = StorageEngine::Open(dir_, EngineOptions{});
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  EXPECT_TRUE((*engine)->stats().wal_tail_corruption);
+  auto state = tests::ScanToMap(**engine);
+  ASSERT_TRUE(state.ok()) << state.status();
+  EXPECT_EQ(state->size(), 20u);
+  EXPECT_TRUE((*engine)->VerifyIntegrity().ok());
 }
 
 }  // namespace

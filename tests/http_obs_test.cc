@@ -423,7 +423,6 @@ TEST(HealthzDegradedTest, Returns503WhileStorageDegraded) {
   tests::FaultEnv env;
   storage::EngineOptions options;
   options.env = &env;
-  options.retry_base_delay_us = 0;
   auto catalog = core::AuthorIndex::OpenPersistent(dir, options);
   ASSERT_TRUE(catalog.ok()) << catalog.status();
   Entry entry;

@@ -41,13 +41,17 @@ class IntegrationTest : public ::testing::Test {
 
 TEST_F(IntegrationTest, FullLifecycleWithReopen) {
   {
-    storage::EngineOptions options;
-    options.memtable_bytes = 128 * 1024;  // Force flushes/compactions.
-    options.l0_compaction_trigger = 3;
-    auto catalog = core::AuthorIndex::OpenPersistent(dir_, options);
+    auto catalog = core::AuthorIndex::OpenPersistent(dir_);
     ASSERT_TRUE(catalog.ok()) << catalog.status();
-    ASSERT_TRUE((*catalog)->AddAll(entries_).ok());
-    EXPECT_GT((*catalog)->StorageStats().flushes, 0u);
+    // Half in a sealed segment, half in the newest one.
+    const size_t half = entries_.size() / 2;
+    ASSERT_TRUE((*catalog)
+                    ->AddAll({entries_.begin(), entries_.begin() + half})
+                    .ok());
+    ASSERT_TRUE((*catalog)->Flush().ok());
+    ASSERT_TRUE(
+        (*catalog)->AddAll({entries_.begin() + half, entries_.end()}).ok());
+    EXPECT_EQ((*catalog)->StorageStats().segments, 2u);
   }
   auto catalog = core::AuthorIndex::OpenPersistent(dir_);
   ASSERT_TRUE(catalog.ok()) << catalog.status();

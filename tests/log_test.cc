@@ -266,8 +266,8 @@ TEST(RotatingFileSinkTest, OpenRotatesExistingLiveFile) {
 }
 
 // The engine's put hot path must not gain a single allocation from
-// having a live INFO logger attached (events fire on open/flush/
-// compaction only). Same workload, logged vs unlogged, equal counts.
+// having a live INFO logger attached (events fire on open, segment
+// rolls and close only). Same workload, logged vs unlogged, equal counts.
 TEST(EngineLoggingTest, PutHotPathIsLogFree) {
   std::string base = ::testing::TempDir() + "/engine_log_free";
   std::filesystem::remove_all(base + "_logged");

@@ -418,17 +418,15 @@ TEST(SerdeTest, ReplSubscribeAndAckRoundTrip) {
   EXPECT_TRUE(DecodeReplSubscribe("short", &decoded).IsCorruption());
 
   WireReplSubscribeAck ack;
-  ack.mode = 1;
   ack.start = {7, 123};
   std::string body;
   EncodeReplSubscribeAck(ack, &body);
+  EXPECT_EQ(body.size(), 16u);  // Just the position.
   WireReplSubscribeAck decoded_ack;
   ASSERT_TRUE(DecodeReplSubscribeAck(body, &decoded_ack).ok());
-  EXPECT_EQ(decoded_ack.mode, 1);
   EXPECT_EQ(decoded_ack.start.wal_number, 7u);
   EXPECT_EQ(decoded_ack.start.offset, 123u);
-  // Only modes 0 (records) and 1 (snapshot-first) exist.
-  body[0] = 2;
+  body.push_back('x');
   EXPECT_TRUE(DecodeReplSubscribeAck(body, &decoded_ack).IsCorruption());
   EXPECT_TRUE(DecodeReplSubscribeAck("", &decoded_ack).IsCorruption());
 }
@@ -480,38 +478,6 @@ TEST(SerdeTest, ReplHeartbeatRoundTripAndBadDegradedByte) {
   EXPECT_TRUE(DecodeReplHeartbeat(payload, &decoded).IsCorruption());
 }
 
-TEST(SerdeTest, ReplSnapshotRoundTripAndForgedPairCount) {
-  WireReplSnapshot chunk;
-  chunk.done = 0;
-  chunk.resume = {4, 64};
-  chunk.pairs = {{"key/a", "value one"}, {"key/b", ""}};
-  std::string payload;
-  EncodeReplSnapshot(chunk, &payload);
-  WireReplSnapshot decoded;
-  ASSERT_TRUE(DecodeReplSnapshot(payload, &decoded).ok());
-  EXPECT_EQ(decoded.done, 0);
-  EXPECT_EQ(decoded.resume.wal_number, 4u);
-  ASSERT_EQ(decoded.pairs.size(), 2u);
-  EXPECT_EQ(decoded.pairs[0].first, "key/a");
-  EXPECT_EQ(decoded.pairs[0].second, "value one");
-  EXPECT_EQ(decoded.pairs[1].second, "");
-  payload.push_back('x');
-  EXPECT_TRUE(DecodeReplSnapshot(payload, &decoded).IsCorruption());
-  payload.pop_back();
-  payload[0] = 2;  // Done is a boolean byte.
-  EXPECT_TRUE(DecodeReplSnapshot(payload, &decoded).IsCorruption());
-  EXPECT_TRUE(DecodeReplSnapshot("", &decoded).IsCorruption());
-
-  std::string forged;
-  forged.push_back('\0');
-  PutFixed64(&forged, 1);  // Resume position.
-  PutFixed64(&forged, 0);
-  PutVarint32(&forged, 0xffffffffu);
-  Status s = DecodeReplSnapshot(forged, &decoded);
-  EXPECT_TRUE(s.IsCorruption()) << s;
-  EXPECT_NE(s.message().find("count"), std::string::npos) << s;
-}
-
 TEST(StatusMappingTest, NamesAndKnownness) {
   EXPECT_EQ(OpcodeName(Opcode::kPing), "PING");
   EXPECT_EQ(OpcodeName(Opcode::kResponse), "RESPONSE");
@@ -520,6 +486,7 @@ TEST(StatusMappingTest, NamesAndKnownness) {
   EXPECT_TRUE(IsKnownOpcode(0x80));
   EXPECT_FALSE(IsKnownOpcode(0x00));
   EXPECT_FALSE(IsKnownOpcode(0x7f));
+  EXPECT_FALSE(IsKnownOpcode(0x83));  // Reserved: the retired snapshot.
   EXPECT_EQ(WireStatusName(WireStatus::kOk), "OK");
   EXPECT_EQ(WireStatusName(WireStatus::kRetryableBusy), "RETRYABLE_BUSY");
   EXPECT_EQ(WireStatusName(static_cast<WireStatus>(200)), "UNKNOWN");

@@ -526,7 +526,6 @@ TEST(NetServerTest, DegradedEngineSurfacesStickyErrorOverRpc) {
   tests::FaultEnv env;
   storage::EngineOptions engine_options;
   engine_options.env = &env;
-  engine_options.retry_base_delay_us = 0;
   auto catalog = core::AuthorIndex::OpenPersistent(dir, engine_options);
   ASSERT_TRUE(catalog.ok()) << catalog.status();
 

@@ -7,7 +7,6 @@
 #include <set>
 
 #include "authidx/common/coding.h"
-#include "authidx/common/compress.h"
 #include "authidx/common/random.h"
 #include "authidx/format/typeset.h"
 #include "authidx/model/serde.h"
@@ -133,21 +132,6 @@ TEST(CodingPropertyTest, VarintLengthMatchesEncoding) {
       EXPECT_EQ(buf32.size(),
                 static_cast<size_t>(VarintLength32(static_cast<uint32_t>(v))));
     }
-  }
-}
-
-TEST(CompressPropertyTest, DeterministicAndStable) {
-  Random rng(9);
-  for (int trial = 0; trial < 100; ++trial) {
-    std::string input = RandomString(&rng, 3000, 3);
-    std::string c1, c2;
-    LzCompress(input, &c1);
-    LzCompress(input, &c2);
-    EXPECT_EQ(c1, c2);
-    // Compressing the decompression yields the same stream.
-    std::string c3;
-    LzCompress(*LzDecompress(c1), &c3);
-    EXPECT_EQ(c1, c3);
   }
 }
 

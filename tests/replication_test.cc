@@ -1,10 +1,13 @@
 // WAL-shipping replication end to end over real loopback sockets:
-// snapshot bootstrap, record catch-up across WAL switches, idempotent
-// re-delivery after a follower crash, NOT_PRIMARY on follower
-// mutations, client read failover when the primary is down, snapshot
-// fallback after a primary restart garbage-collects the follower's
-// cursor — and a crash-consistency sweep that kills the follower's
-// filesystem at every write-path op during catch-up (label `fault`).
+// bootstrap from the primary's first log segment, record catch-up
+// across segment rolls, an ADD too large for one stream frame,
+// idempotent re-delivery after a follower crash, NOT_PRIMARY on
+// follower mutations, client read failover when the primary is down,
+// resuming from the cursor after a primary restart — and a
+// crash-consistency sweep that kills the follower's filesystem at every
+// write-path op during catch-up (label `fault`). ReplicationSource
+// unit tests pin its bounded reads and the splitting of oversized
+// records.
 
 #include "authidx/net/replica.h"
 
@@ -12,6 +15,8 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <map>
@@ -83,8 +88,7 @@ struct Primary {
   }
 
   // Simulates a primary restart: stop serving, close the store, reopen
-  // and serve again (recovery typically flushes recovered state and
-  // garbage-collects the old WALs).
+  // and serve again (the reopened engine appends to a fresh segment).
   void Restart() {
     server->Stop();
     server.reset();
@@ -129,18 +133,16 @@ struct Replica {
   }
 
   void ExpectClean() const {
-    Result<storage::IntegrityReport> report =
-        catalog->storage_engine()->VerifyIntegrity();
-    ASSERT_TRUE(report.ok()) << report.status();
-    EXPECT_TRUE(report->clean()) << report->manifest_status;
+    Status verified = catalog->storage_engine()->VerifyIntegrity();
+    EXPECT_TRUE(verified.ok()) << verified;
   }
 };
 
-TEST(ReplicationTest, SnapshotBootstrapPopulatesEmptyFollower) {
+TEST(ReplicationTest, EmptyFollowerBootstrapsFromTheFirstSegment) {
   Primary primary(ScratchDir("repl_boot_primary"));
   AddEntries(primary.catalog.get(), 0, 20);
-  ASSERT_TRUE(primary.catalog->Flush().ok());  // Some entries in SSTs...
-  AddEntries(primary.catalog.get(), 20, 5);    // ...and some in the WAL.
+  ASSERT_TRUE(primary.catalog->Flush().ok());  // Some in a sealed segment...
+  AddEntries(primary.catalog.get(), 20, 5);    // ...some in the newest.
 
   Replica replica(ScratchDir("repl_boot_replica"),
                   primary.server->port());
@@ -149,9 +151,9 @@ TEST(ReplicationTest, SnapshotBootstrapPopulatesEmptyFollower) {
   ASSERT_TRUE(s.ok()) << s;
 
   EXPECT_EQ(replica.catalog->entry_count(), 25u);
-  EXPECT_GT(
-      replica.CounterValue("authidx_repl_snapshot_pairs_applied_total"),
-      0u);
+  EXPECT_EQ(replica.CounterValue("authidx_repl_records_applied_total"), 25u);
+  EXPECT_EQ(replica.follower->applied_position(),
+            primary.catalog->storage_engine()->CommittedWalPosition());
   Result<query::QueryResult> hits =
       replica.catalog->Search("author:author007");
   ASSERT_TRUE(hits.ok()) << hits.status();
@@ -159,23 +161,22 @@ TEST(ReplicationTest, SnapshotBootstrapPopulatesEmptyFollower) {
   replica.ExpectClean();
 }
 
-TEST(ReplicationTest, StreamsRecordsAcrossWalSwitches) {
-  // A small memtable makes every flush seal the live WAL and open a
-  // new one, so the stream must follow the cursor across WAL switches.
-  storage::EngineOptions eopts;
-  eopts.memtable_bytes = 4 * 1024;
-  Primary primary(ScratchDir("repl_switch_primary"), eopts);
+TEST(ReplicationTest, StreamsRecordsAcrossSegmentRolls) {
+  // Every flush rolls the primary's log to a new segment, so the stream
+  // must follow the cursor across segments.
+  Primary primary(ScratchDir("repl_switch_primary"));
 
   Replica replica(ScratchDir("repl_switch_replica"),
                   primary.server->port());
   ASSERT_TRUE(replica.open_ok);
-  // Initial sync against the empty primary plants a real cursor, so
-  // everything after this arrives as REPL_RECORDS, never a snapshot.
+  // Initial sync against the empty primary plants a real cursor.
   ASSERT_TRUE(replica.follower->CatchUpOnce().ok());
   ASSERT_EQ(replica.catalog->entry_count(), 0u);
+  EXPECT_EQ(replica.follower->applied_position(),
+            (storage::WalPosition{1, 0}));
 
-  // Keep the subscription live (pinning WALs on the primary) while
-  // entries and explicit flushes force several WAL switches under it.
+  // Keep the subscription live while entries and explicit flushes
+  // force several segment rolls under it.
   ASSERT_TRUE(replica.follower->Start().ok());
   constexpr int kTotal = 30;
   for (int batch = 0; batch < 3; ++batch) {
@@ -192,9 +193,7 @@ TEST(ReplicationTest, StreamsRecordsAcrossWalSwitches) {
             static_cast<size_t>(kTotal));
   EXPECT_GE(replica.CounterValue("authidx_repl_records_applied_total"),
             static_cast<uint64_t>(kTotal));
-  EXPECT_EQ(
-      replica.CounterValue("authidx_repl_snapshot_pairs_applied_total"),
-      0u);
+  EXPECT_EQ(primary.catalog->StorageStats().segments, 4u);
   replica.ExpectClean();
 }
 
@@ -211,8 +210,7 @@ TEST(ReplicationTest, DuplicateRedeliveryAfterCursorRollbackIsANoOp) {
     ASSERT_EQ(replica.catalog->entry_count(), 10u);
     // Snapshot the durable cursor as of "now"; entries added after this
     // point will be re-delivered once we roll the cursor back.
-    storage::ReplicationApplier applier(replica.catalog->storage_engine(),
-                                        replica_dir);
+    storage::ReplicationApplier applier(replica_dir);
     Result<std::string> bytes =
         Env::Default()->ReadFileToString(applier.position_path());
     ASSERT_TRUE(bytes.ok()) << bytes.status();
@@ -228,7 +226,7 @@ TEST(ReplicationTest, DuplicateRedeliveryAfterCursorRollbackIsANoOp) {
   // 20 entries, but the cursor claims only the first 10 were applied —
   // exactly the window a crash between apply and commit leaves behind.
   {
-    storage::ReplicationApplier probe(nullptr, replica_dir);
+    storage::ReplicationApplier probe(replica_dir);
     ASSERT_TRUE(Env::Default()
                     ->WriteStringToFileSync(probe.position_path(),
                                             cursor_bytes)
@@ -308,11 +306,11 @@ TEST(ReplicationTest, FollowerRejectsShippedDeleteOps) {
   EXPECT_TRUE(rejected.IsCorruption()) << rejected;
   EXPECT_EQ((*engine)->stats().puts, 1u);
   const std::map<std::string, std::string> only_put = {{"k", "v"}};
-  EXPECT_EQ(*tests::ScanToMap(*(*engine)->NewIterator()), only_put);
+  EXPECT_EQ(*tests::ScanToMap(**engine), only_put);
   ASSERT_TRUE((*engine)->Close().ok());
   engine = storage::StorageEngine::Open(dir, options);
   ASSERT_TRUE(engine.ok()) << engine.status();
-  EXPECT_EQ(*tests::ScanToMap(*(*engine)->NewIterator()), only_put);
+  EXPECT_EQ(*tests::ScanToMap(**engine), only_put);
   ASSERT_TRUE((*engine)->Close().ok());
   std::filesystem::remove_all(dir);
 }
@@ -397,7 +395,7 @@ TEST(ReplicationTest, ClientFailsOverReadsWhenPrimaryStops) {
   replica_server.Stop();
 }
 
-TEST(ReplicationTest, PrimaryRestartFallsBackToSnapshotCatchUp) {
+TEST(ReplicationTest, PrimaryRestartResumesFromTheCursor) {
   Primary primary(ScratchDir("repl_restart_primary"));
   AddEntries(primary.catalog.get(), 0, 8);
 
@@ -409,9 +407,10 @@ TEST(ReplicationTest, PrimaryRestartFallsBackToSnapshotCatchUp) {
     ASSERT_EQ(replica.catalog->entry_count(), 8u);
   }
 
-  // Restart the primary: recovery flushes the recovered memtable and
-  // garbage-collects the WAL the follower's cursor points into. The
-  // subscribe must come back as a snapshot bootstrap, not an error.
+  // Restart the primary: it keeps every segment and appends to a fresh
+  // one, so the follower's cursor stays servable. It crosses into the
+  // new segment and receives exactly the 4 new records — no
+  // re-bootstrap from the first segment.
   primary.Restart();
   AddEntries(primary.catalog.get(), 8, 4);
 
@@ -420,7 +419,225 @@ TEST(ReplicationTest, PrimaryRestartFallsBackToSnapshotCatchUp) {
   Status s = reopened.follower->CatchUpOnce();
   ASSERT_TRUE(s.ok()) << s;
   EXPECT_EQ(reopened.catalog->entry_count(), 12u);
+  EXPECT_EQ(reopened.CounterValue("authidx_repl_records_applied_total"), 4u);
+  EXPECT_EQ(reopened.follower->applied_position(),
+            primary.catalog->storage_engine()->CommittedWalPosition());
   reopened.ExpectClean();
+}
+
+// One ADD whose log record is larger than a stream frame may be: 13 910
+// TSV lines, 1 046 054 bytes of TSV text. The primary accepts it as one
+// request (and one record); the record must reach the follower as
+// put-batch pieces in several REPL_RECORDS frames rather than as one
+// frame over the follower's 1 MiB frame cap, which the follower would
+// reject on every retry.
+TEST(ReplicationTest, AddLargerThanAStreamFrameReplicates) {
+  constexpr int kLines = 13910;
+  std::vector<std::string> lines;
+  size_t tsv_bytes = 0;
+  for (int i = 0; i < kLines; ++i) {
+    // 7 pad bytes on the first 13 604 titles, 6 on the rest: exactly
+    // the reported ADD.
+    lines.push_back(StringPrintf(
+        "Author%05d, Test\tOversized Batch Title Number %05d%s\t95:%d "
+        "(19%02d)",
+        i, i, i < 13604 ? " zzzzzz" : " zzzzz", 100 + i, 50 + (i % 50)));
+    tsv_bytes += lines.back().size() + 1;
+  }
+  ASSERT_EQ(tsv_bytes, 1046054u);
+
+  Primary primary(ScratchDir("repl_big_primary"));
+  // The follower holds a cursor before the ADD, so the record reaches it
+  // through record shipping.
+  Replica replica(ScratchDir("repl_big_replica"), primary.server->port());
+  ASSERT_TRUE(replica.open_ok);
+  ASSERT_TRUE(replica.follower->CatchUpOnce().ok());
+  {
+    ClientOptions copts;
+    copts.port = primary.server->port();
+    copts.retry.max_attempts = 1;
+    Client client(copts);
+    Result<uint64_t> added = client.Add(lines);
+    ASSERT_TRUE(added.ok()) << added.status();
+    EXPECT_EQ(*added, static_cast<uint64_t>(kLines));
+  }
+  ASSERT_EQ(primary.catalog->entry_count(), static_cast<size_t>(kLines));
+  AddEntries(primary.catalog.get(), kLines, 2);  // Records after it too.
+
+  Status s = replica.follower->CatchUpOnce();
+  ASSERT_TRUE(s.ok()) << s;
+  EXPECT_EQ(replica.catalog->entry_count(),
+            static_cast<size_t>(kLines + 2));
+  // Several pieces for the one big record, then the two small ones.
+  EXPECT_GT(replica.CounterValue("authidx_repl_records_applied_total"), 4u);
+  Result<query::QueryResult> hits =
+      replica.catalog->Search("author:author13909");
+  ASSERT_TRUE(hits.ok()) << hits.status();
+  EXPECT_EQ(hits->total_matches, 1u);
+  replica.ExpectClean();
+}
+
+// --- ReplicationSource, without a server ---
+
+// Counts the bytes every RandomAccessFile it hands out returns.
+class CountingEnv final : public Env {
+ public:
+  uint64_t bytes_read() const { return bytes_read_.load(); }
+
+  Result<std::unique_ptr<WritableFile>> NewWritableFile(
+      const std::string& path) override {
+    return base_->NewWritableFile(path);
+  }
+  Result<std::unique_ptr<RandomAccessFile>> NewRandomAccessFile(
+      const std::string& path) override {
+    AUTHIDX_ASSIGN_OR_RETURN(auto file, base_->NewRandomAccessFile(path));
+    return std::unique_ptr<RandomAccessFile>(
+        std::make_unique<CountingFile>(std::move(file), &bytes_read_));
+  }
+  Result<std::string> ReadFileToString(const std::string& path) override {
+    AUTHIDX_ASSIGN_OR_RETURN(std::string data,
+                             base_->ReadFileToString(path));
+    bytes_read_ += data.size();
+    return data;
+  }
+  Status WriteStringToFileSync(const std::string& path,
+                               std::string_view data) override {
+    return base_->WriteStringToFileSync(path, data);
+  }
+  bool FileExists(const std::string& path) override {
+    return base_->FileExists(path);
+  }
+  Result<std::vector<std::string>> ListDir(const std::string& dir) override {
+    return base_->ListDir(dir);
+  }
+  Status RemoveFile(const std::string& path) override {
+    return base_->RemoveFile(path);
+  }
+  Status RenameFile(const std::string& from, const std::string& to) override {
+    return base_->RenameFile(from, to);
+  }
+  Status CreateDirIfMissing(const std::string& dir) override {
+    return base_->CreateDirIfMissing(dir);
+  }
+  Result<uint64_t> FileSize(const std::string& path) override {
+    return base_->FileSize(path);
+  }
+
+ private:
+  class CountingFile final : public RandomAccessFile {
+   public:
+    CountingFile(std::unique_ptr<RandomAccessFile> base,
+                 std::atomic<uint64_t>* bytes)
+        : base_(std::move(base)), bytes_(bytes) {}
+    Status Read(uint64_t offset, size_t n, std::string* scratch,
+                std::string_view* out) const override {
+      Status s = base_->Read(offset, n, scratch, out);
+      *bytes_ += out->size();
+      return s;
+    }
+    Result<uint64_t> Size() const override { return base_->Size(); }
+
+   private:
+    std::unique_ptr<RandomAccessFile> base_;
+    std::atomic<uint64_t>* bytes_;
+  };
+
+  Env* base_ = Env::Default();
+  std::atomic<uint64_t> bytes_read_{0};
+};
+
+// Each ReadBatch reads from its cursor, not whole segments: at most
+// `max_bytes` of records plus one record (the header of the record
+// that did not fit).
+TEST(ReplicationSourceTest, ReadsOnlyFromTheCursor) {
+  std::string dir = ScratchDir("repl_source_bounded");
+  auto engine = storage::StorageEngine::Open(dir, {});
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  size_t largest_record = 0;
+  for (int i = 0; i < 300; ++i) {
+    std::string value(static_cast<size_t>(40 + (i * 53) % 160), 'v');
+    largest_record = std::max(
+        largest_record,
+        storage::kWalRecordHeaderBytes +
+            storage::StorageEngine::EncodePutRecord(StringPrintf("k%03d", i),
+                                                    value)
+                .size());
+    ASSERT_TRUE((*engine)->Put(StringPrintf("k%03d", i), value).ok());
+    if (i == 150) {
+      ASSERT_TRUE((*engine)->Flush().ok());
+    }
+  }
+  constexpr size_t kMaxBytes = 1000;
+  CountingEnv env;
+  storage::ReplicationSource source(engine->get(), &env);
+  storage::WalPosition cursor;
+  size_t records = 0, calls = 0;
+  for (;;) {
+    const uint64_t before = env.bytes_read();
+    Result<storage::ReplicationBatch> batch =
+        source.ReadBatch(cursor, 512, kMaxBytes);
+    ASSERT_TRUE(batch.ok()) << batch.status();
+    EXPECT_LE(env.bytes_read() - before, kMaxBytes + largest_record)
+        << "call " << calls;
+    ++calls;
+    if (batch->records.empty() && batch->end == cursor) {
+      break;
+    }
+    records += batch->records.size();
+    cursor = batch->end;
+  }
+  EXPECT_EQ(records, 300u);
+  EXPECT_EQ(cursor, (*engine)->CommittedWalPosition());
+  EXPECT_GT(calls, 300u * 40 / kMaxBytes);
+}
+
+// A record larger than the byte budget comes back alone, as put-batch
+// pieces within the budget that together hold its puts in order, and
+// the cursor moves past the whole record.
+TEST(ReplicationSourceTest, SplitsARecordLargerThanTheBudget) {
+  std::string dir = ScratchDir("repl_source_split");
+  auto engine = storage::StorageEngine::Open(dir, {});
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  storage::WriteBatch big;
+  std::vector<std::pair<std::string, std::string>> want;
+  for (int i = 0; i < 200; ++i) {
+    want.emplace_back(StringPrintf("k%03d", i), std::string(90, static_cast<char>('a' + i % 26)));
+    big.Put(want.back().first, want.back().second);
+  }
+  ASSERT_TRUE((*engine)->Put("small", "1").ok());
+  ASSERT_TRUE((*engine)->Apply(big).ok());
+  const storage::WalPosition after_big = (*engine)->CommittedWalPosition();
+  ASSERT_TRUE((*engine)->Put("small", "2").ok());
+
+  constexpr size_t kMaxBytes = 4096;
+  storage::ReplicationSource source(engine->get());
+  Result<storage::ReplicationBatch> first =
+      source.ReadBatch({}, 512, kMaxBytes);
+  ASSERT_TRUE(first.ok()) << first.status();
+  ASSERT_EQ(first->records.size(), 1u);  // Stops before the big record.
+  Result<storage::ReplicationBatch> pieces =
+      source.ReadBatch(first->end, 512, kMaxBytes);
+  ASSERT_TRUE(pieces.ok()) << pieces.status();
+  EXPECT_GT(pieces->records.size(), 1u);
+  EXPECT_EQ(pieces->end, after_big);
+  std::vector<std::pair<std::string, std::string>> seen;
+  for (const std::string& piece : pieces->records) {
+    EXPECT_LE(piece.size(), kMaxBytes);
+    EXPECT_EQ(piece.front(), storage::kWalBatch);
+    ASSERT_TRUE(storage::ForEachRecordOp(
+                    piece,
+                    [&](std::string_view k, std::string_view v) {
+                      seen.emplace_back(std::string(k), std::string(v));
+                      return Status::OK();
+                    })
+                    .ok());
+  }
+  EXPECT_EQ(seen, want);
+  Result<storage::ReplicationBatch> last =
+      source.ReadBatch(pieces->end, 512, kMaxBytes);
+  ASSERT_TRUE(last.ok()) << last.status();
+  ASSERT_EQ(last->records.size(), 1u);
+  EXPECT_EQ(last->end, (*engine)->CommittedWalPosition());
 }
 
 // Crash-consistency sweep: kill the follower's filesystem at write-path
@@ -462,8 +679,8 @@ TEST(ReplicationTest, FollowerCrashSweepAtEveryApplyOp) {
       fenv.FailFrom(k);
       Replica doomed(dir, primary.server->port(), &fenv);
       if (doomed.open_ok) {
-        // The catch-up may fail anywhere — mid-snapshot, mid-batch,
-        // mid-cursor-commit — or even limp through; either way the
+        // The catch-up may fail anywhere — mid-batch, mid-cursor-
+        // commit — or even limp through; either way the
         // follower "crashes" here with whatever made it to disk.
         doomed.follower->CatchUpOnce().IgnoreError();
       }

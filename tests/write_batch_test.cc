@@ -96,7 +96,7 @@ TEST_F(BatchEngineTest, ApplyIsVisibleImmediately) {
   batch.Put("b", "2");
   batch.Put("a", "3");  // Later ops in one batch win.
   ASSERT_TRUE(engine->Apply(batch).ok());
-  EXPECT_EQ(*tests::ScanToMap(*engine->NewIterator()),
+  EXPECT_EQ(*tests::ScanToMap(*engine),
             (Contents{{"a", "3"}, {"b", "2"}}));
   EXPECT_EQ(engine->stats().puts, 3u);
 }
@@ -122,7 +122,7 @@ TEST_F(BatchEngineTest, BatchSurvivesWalRecovery) {
     ASSERT_TRUE(engine->Close().ok());
   }
   auto engine = Open();
-  auto state = tests::ScanToMap(*engine->NewIterator());
+  auto state = tests::ScanToMap(*engine);
   ASSERT_TRUE(state.ok()) << state.status();
   EXPECT_EQ(state->size(), 100u);
   EXPECT_EQ((*state)["key000"], "v0");
@@ -132,7 +132,6 @@ TEST_F(BatchEngineTest, BatchSurvivesWalRecovery) {
 
 TEST_F(BatchEngineTest, TornBatchIsAllOrNothing) {
   std::string wal_copy;
-  uint64_t wal_number;
   {
     EngineOptions options;
     options.sync_writes = true;
@@ -143,48 +142,34 @@ TEST_F(BatchEngineTest, TornBatchIsAllOrNothing) {
       batch.Put(StringPrintf("batch%03d", i), "v");
     }
     ASSERT_TRUE(engine->Apply(batch).ok());
-    Manifest manifest = *Manifest::Load(Env::Default(), dir_);
-    wal_number = manifest.wal_number;
-    wal_copy = *Env::Default()->ReadFileToString(
-        WalFileName(dir_, wal_number));
+    wal_copy = *Env::Default()->ReadFileToString(WalFileName(dir_, 1));
     ASSERT_TRUE(engine->Close().ok());
   }
-  // Rewind to pre-Close state with the batch record torn mid-payload.
-  {
-    Manifest manifest = *Manifest::Load(Env::Default(), dir_);
-    for (const FileMeta& meta : manifest.files) {
-      ASSERT_TRUE(Env::Default()
-                      ->RemoveFile(TableFileName(dir_, meta.file_number))
-                      .ok());
-    }
-    manifest.files.clear();
-    manifest.wal_number = wal_number;
-    ASSERT_TRUE(manifest.Save(Env::Default(), dir_).ok());
-    std::string torn = wal_copy.substr(0, wal_copy.size() - 100);
-    ASSERT_TRUE(Env::Default()
-                    ->WriteStringToFileSync(WalFileName(dir_, wal_number),
-                                            torn)
-                    .ok());
-  }
+  // Rewind to the crash: the batch record torn mid-payload.
+  std::string torn = wal_copy.substr(0, wal_copy.size() - 100);
+  ASSERT_TRUE(Env::Default()
+                  ->WriteStringToFileSync(WalFileName(dir_, 1), torn)
+                  .ok());
   auto engine = Open();
   EXPECT_TRUE(engine->stats().wal_tail_corruption);
   // The single put before the batch survived; the torn batch vanished
   // entirely (no partial application).
-  EXPECT_EQ(*tests::ScanToMap(*engine->NewIterator()),
-            (Contents{{"before", "1"}}));
+  EXPECT_EQ(*tests::ScanToMap(*engine), (Contents{{"before", "1"}}));
 }
 
-TEST_F(BatchEngineTest, LargeBatchTriggersFlush) {
-  EngineOptions options;
-  options.memtable_bytes = 32 * 1024;
-  auto engine = Open(options);
-  WriteBatch batch;
-  for (int i = 0; i < 2000; ++i) {
-    batch.Put(StringPrintf("key%05d", i), std::string(64, 'v'));
+TEST_F(BatchEngineTest, LargeBatchSurvivesFlushAndReopen) {
+  {
+    auto engine = Open();
+    WriteBatch batch;
+    for (int i = 0; i < 2000; ++i) {
+      batch.Put(StringPrintf("key%05d", i), std::string(64, 'v'));
+    }
+    ASSERT_TRUE(engine->Apply(batch).ok());
+    ASSERT_TRUE(engine->Flush().ok());
+    EXPECT_EQ(engine->stats().segments, 2u);
   }
-  ASSERT_TRUE(engine->Apply(batch).ok());
-  EXPECT_GT(engine->stats().flushes, 0u);
-  auto state = tests::ScanToMap(*engine->NewIterator());
+  auto engine = Open();
+  auto state = tests::ScanToMap(*engine);
   ASSERT_TRUE(state.ok()) << state.status();
   EXPECT_EQ(state->size(), 2000u);
   EXPECT_EQ((*state)["key00000"], std::string(64, 'v'));
