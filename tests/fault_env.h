@@ -48,9 +48,9 @@ class FaultEnv final : public Env {
       : base_(base != nullptr ? base : Env::Default()) {}
 
   // --- fault plan ---
-  // All plan state is guarded by one mutex: the engine's background
-  // thread and foreground writers consult the plan concurrently, and the
-  // op counter must stay a single global sequence.
+  // All plan state is guarded by one mutex: writers on several threads
+  // consult the plan concurrently, and the op counter must stay a
+  // single global sequence.
   void FailFrom(uint64_t k) {
     std::lock_guard<std::mutex> lock(mu_);
     mode_ = Mode::kFailFrom;

@@ -287,7 +287,7 @@ TEST(ReplicationTest, FollowerResultCacheInvalidatedByApply) {
 
 // The engine has no deletes, so no primary can ship one: a delete
 // record, or a batch holding a delete op, is rejected before it reaches
-// the follower's WAL or memtable.
+// the follower's log.
 TEST(ReplicationTest, FollowerRejectsShippedDeleteOps) {
   std::string dir = ScratchDir("repl_reject_delete");
   storage::EngineOptions options;
