@@ -17,7 +17,6 @@ namespace authidx {
 namespace {
 
 using text::BoundedLevenshtein;
-using text::DamerauLevenshtein;
 using text::JaroWinkler;
 using text::Levenshtein;
 using text::WithinEditDistance;
@@ -143,9 +142,6 @@ void BM_PairwiseDistance(benchmark::State& state) {
       case 1:
         benchmark::DoNotOptimize(BoundedLevenshtein(a, b, kMaxEdits));
         break;
-      case 2:
-        benchmark::DoNotOptimize(DamerauLevenshtein(a, b));
-        break;
       case 3:
         benchmark::DoNotOptimize(JaroWinkler(a, b));
         break;
@@ -153,7 +149,7 @@ void BM_PairwiseDistance(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PairwiseDistance)
-    ->Arg(0)->Arg(1)->Arg(2)->Arg(3);
+    ->Arg(0)->Arg(1)->Arg(3);
 
 }  // namespace
 }  // namespace authidx

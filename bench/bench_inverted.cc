@@ -1,5 +1,5 @@
-// B5: postings — codec round trip and compression ratio, plus block-max
-// top-k pruning vs exhaustive BM25 (DESIGN.md §3).
+// B5: in-memory postings — list decode (GetDocs), plus block-max top-k
+// pruning vs exhaustive BM25 (DESIGN.md §3).
 
 #include <benchmark/benchmark.h>
 
@@ -8,34 +8,10 @@
 
 #include "authidx/common/random.h"
 #include "authidx/index/inverted.h"
-#include "authidx/index/postings.h"
 #include "authidx/index/ranker.h"
 
 namespace authidx {
 namespace {
-
-void BM_PostingsEncodeDecode(benchmark::State& state) {
-  // Zipfian gaps: realistic postings with dense head.
-  size_t n = static_cast<size_t>(state.range(0));
-  Zipf zipf(1000, 0.99, 9);
-  std::vector<Posting> postings;
-  EntryId doc = 0;
-  for (size_t i = 0; i < n; ++i) {
-    doc += static_cast<EntryId>(zipf.Next() + 1);
-    postings.push_back({doc, 1});
-  }
-  size_t encoded_size = EncodePostings(postings).size();
-  for (auto _ : state) {
-    std::string encoded = EncodePostings(postings);
-    auto decoded = DecodePostings(encoded);
-    benchmark::DoNotOptimize(decoded.ok());
-  }
-  state.counters["bytes_per_posting"] =
-      static_cast<double>(encoded_size) / static_cast<double>(n);
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(n));
-}
-BENCHMARK(BM_PostingsEncodeDecode)->Arg(1000)->Arg(100000);
 
 // Shared index for the ranking benches: 200k docs of 4–12 zipfian
 // tokens each, so the head terms have long postings lists with varied
@@ -83,6 +59,19 @@ void BM_RankBm25Exhaustive(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_RankBm25Exhaustive)->Arg(10)->Arg(100);
+
+// Whole-list decode as title candidates do it: GetDocs on a head term
+// (t2) and a tail term (t250) of the ranking index.
+void BM_GetDocs(benchmark::State& state) {
+  const InvertedIndex& index = RankedIndex();
+  const std::string term = "t" + std::to_string(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(index.GetDocs(term));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(index.DocFreq(term)));
+}
+BENCHMARK(BM_GetDocs)->Arg(2)->Arg(250);
 
 // Block-max pruned conjunctive top-k over the same index and terms.
 void BM_RankBm25TopKPruned(benchmark::State& state) {

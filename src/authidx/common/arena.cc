@@ -14,21 +14,6 @@ char* Arena::Allocate(size_t bytes) {
   return AllocateFallback(bytes);
 }
 
-char* Arena::AllocateAligned(size_t bytes) {
-  constexpr size_t kAlign = 8;
-  size_t mod = reinterpret_cast<uintptr_t>(alloc_ptr_) & (kAlign - 1);
-  size_t slop = (mod == 0) ? 0 : kAlign - mod;
-  size_t needed = bytes + slop;
-  if (needed <= alloc_remaining_) {
-    char* result = alloc_ptr_ + slop;
-    alloc_ptr_ += needed;
-    alloc_remaining_ -= needed;
-    return result;
-  }
-  // Fresh blocks from operator new[] are suitably aligned already.
-  return AllocateFallback(bytes);
-}
-
 std::string_view Arena::CopyString(std::string_view s) {
   if (s.empty()) {
     // A default-constructed view has data() == nullptr; memcpy from a
@@ -54,7 +39,6 @@ char* Arena::AllocateFallback(size_t bytes) {
 
 char* Arena::AllocateNewBlock(size_t block_bytes) {
   blocks_.push_back(std::make_unique<char[]>(block_bytes));
-  memory_usage_ += block_bytes + sizeof(blocks_.back());
   return blocks_.back().get();
 }
 

@@ -2,7 +2,6 @@
 #define AUTHIDX_COMMON_ARENA_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <string_view>
 #include <vector>
@@ -23,15 +22,8 @@ class Arena {
   /// Allocates `bytes` with no particular alignment (>= 1).
   char* Allocate(size_t bytes);
 
-  /// Allocates `bytes` aligned for any scalar type (alignof(max_align_t)
-  /// capped at 8, which suffices for the node types stored here).
-  char* AllocateAligned(size_t bytes);
-
   /// Copies `s` into the arena and returns a view of the stable copy.
   std::string_view CopyString(std::string_view s);
-
-  /// Total bytes handed to callers plus block bookkeeping.
-  size_t MemoryUsage() const { return memory_usage_; }
 
  private:
   static constexpr size_t kBlockSize = 64 * 1024;
@@ -41,7 +33,6 @@ class Arena {
 
   char* alloc_ptr_ = nullptr;
   size_t alloc_remaining_ = 0;
-  size_t memory_usage_ = 0;
   std::vector<std::unique_ptr<char[]>> blocks_;
 };
 

@@ -1,8 +1,6 @@
 #include "authidx/common/retry.h"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
 
 namespace authidx {
 
@@ -34,30 +32,6 @@ uint64_t RetryBackoffDelayUs(const RetryPolicy& policy, int attempt,
   // simultaneous retriers spread out instead of thundering together.
   uint64_t window = static_cast<uint64_t>(static_cast<double>(delay) * jitter);
   return delay - (window > 0 ? rng->Uniform(window + 1) : 0);
-}
-
-Status RetryWithBackoff(const RetryPolicy& policy, Random* rng,
-                        const std::function<Status()>& op,
-                        const RetryObserver& on_retry,
-                        const RetrySleeper& sleeper) {
-  int attempts = std::max(policy.max_attempts, 1);
-  Status last;
-  for (int attempt = 1; attempt <= attempts; ++attempt) {
-    last = op();
-    if (last.ok() || !IsTransientError(last) || attempt == attempts) {
-      return last;
-    }
-    uint64_t delay_us = RetryBackoffDelayUs(policy, attempt, rng);
-    if (on_retry != nullptr) {
-      on_retry(attempt, last, delay_us);
-    }
-    if (sleeper != nullptr) {
-      sleeper(delay_us);
-    } else if (delay_us > 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
-    }
-  }
-  return last;
 }
 
 }  // namespace authidx

@@ -2,7 +2,6 @@
 #define AUTHIDX_COMMON_RETRY_H_
 
 #include <cstdint>
-#include <functional>
 
 #include "authidx/common/random.h"
 #include "authidx/common/status.h"
@@ -16,7 +15,8 @@ namespace authidx {
 /// over damaged data.
 bool IsTransientError(const Status& status);
 
-/// Policy for RetryWithBackoff. Defaults are tuned for tests (short
+/// Bounded exponential-backoff retry policy (the client's and the
+/// replication follower's). Defaults are tuned for tests (short
 /// delays); production embedders raise the delays to real I/O scales.
 struct RetryPolicy {
   /// Total tries including the first; 1 disables retrying.
@@ -31,30 +31,11 @@ struct RetryPolicy {
   double jitter = 0.5;
 };
 
-/// Called before each retry sleep with the 1-based attempt number that
-/// just failed, its status, and the chosen backoff.
-using RetryObserver =
-    std::function<void(int attempt, const Status& failure, uint64_t delay_us)>;
-
-/// Replaces the real sleep in tests; receives the jittered delay.
-using RetrySleeper = std::function<void(uint64_t delay_us)>;
-
 /// Backoff for the retry following failed attempt `attempt` (1-based):
 /// min(base << (attempt-1), max), jittered per `policy.jitter` using
 /// `rng` (deterministic for a fixed seed).
 uint64_t RetryBackoffDelayUs(const RetryPolicy& policy, int attempt,
                              Random* rng);
-
-/// Runs `op` up to `policy.max_attempts` times, sleeping an exponential
-/// jittered backoff between attempts. Only transient failures (see
-/// IsTransientError) are retried; a permanent failure is returned
-/// immediately. `on_retry` (may be null) fires before each sleep;
-/// `sleeper` (may be null) replaces the real sleep in tests. Returns the
-/// first success or the final failure.
-Status RetryWithBackoff(const RetryPolicy& policy, Random* rng,
-                        const std::function<Status()>& op,
-                        const RetryObserver& on_retry = nullptr,
-                        const RetrySleeper& sleeper = nullptr);
 
 }  // namespace authidx
 

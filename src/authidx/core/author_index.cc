@@ -718,15 +718,9 @@ std::vector<std::string> AuthorIndex::CoauthorsOf(
 }
 
 Status AuthorIndex::Flush() {
-  if (engine_ == nullptr) {
-    return Status::OK();
-  }
-  Status status = engine_->Flush();
-  // Conservative epoch bump: a flush does not change query results,
-  // but treating every storage transition as an invalidation keeps the
-  // cache's staleness argument one sentence long.
-  data_epoch_.fetch_add(1, std::memory_order_release);
-  return status;
+  // No epoch bump: a flush makes already-indexed entries durable and
+  // changes no query result, so cached results stay valid.
+  return engine_ != nullptr ? engine_->Flush() : Status::OK();
 }
 
 Status AuthorIndex::CompactStorage() { return Flush(); }

@@ -162,8 +162,8 @@ class AuthorIndex final : public query::CatalogView {
   const ResultCache* result_cache() const { return result_cache_.get(); }
 
   /// Monotonic counter bumped by every mutation that can change query
-  /// results (Add, AddAll, ApplyReplicatedRecord), and conservatively
-  /// by Flush/CompactStorage too.
+  /// results (Add, AddAll, ApplyReplicatedRecord). Flush and
+  /// CompactStorage change no result and leave it alone.
   /// Cached results stamped with an older epoch never hit.
   uint64_t data_epoch() const {
     return data_epoch_.load(std::memory_order_acquire);
@@ -231,7 +231,8 @@ class AuthorIndex final : public query::CatalogView {
   Status Flush();
 
   /// Synonym of Flush, kept for callers written against the earlier
-  /// LSM engine (the log has nothing to compact).
+  /// LSM engine (the log has nothing to compact); perfbench's load
+  /// generator still calls it.
   Status CompactStorage();
 
   /// Underlying storage stats (empty struct for in-memory catalogs).

@@ -158,14 +158,4 @@ std::vector<Page> TypesetAuthorIndex(const core::AuthorIndex& catalog,
   return pages;
 }
 
-std::string TypesetToString(const core::AuthorIndex& catalog,
-                            const TypesetOptions& options) {
-  std::string out;
-  for (const Page& page : TypesetAuthorIndex(catalog, options)) {
-    out += page.text;
-    out += '\f';
-  }
-  return out;
-}
-
 }  // namespace authidx::format

@@ -44,10 +44,6 @@ struct Page {
 std::vector<Page> TypesetAuthorIndex(const core::AuthorIndex& catalog,
                                      const TypesetOptions& options = {});
 
-/// Convenience: all pages joined with form feeds.
-std::string TypesetToString(const core::AuthorIndex& catalog,
-                            const TypesetOptions& options = {});
-
 }  // namespace authidx::format
 
 #endif  // AUTHIDX_FORMAT_TYPESET_H_

@@ -6,6 +6,30 @@
 
 namespace authidx {
 
+namespace {
+
+// The one postings decoder. Reads up to `count` (gap, freq) varint
+// pairs from `data`; each gap is relative to the previous doc id, and
+// to `prev` for the first. Calls `emit(doc, freq)` per posting. A
+// block's run starts from the previous block's last doc id; a whole
+// list is a single run starting from 0. The bytes were encoded
+// in-process, so a decode failure would mean memory corruption: it
+// ends the run early.
+template <typename Emit>
+void DecodeRun(std::string_view data, uint32_t count, EntryId prev,
+               Emit&& emit) {
+  for (uint32_t i = 0; i < count; ++i) {
+    uint32_t gap = 0, freq = 0;
+    if (!GetVarint32(&data, &gap).ok() || !GetVarint32(&data, &freq).ok()) {
+      return;
+    }
+    prev += gap;
+    emit(prev, freq);
+  }
+}
+
+}  // namespace
+
 bool InvertedIndex::AddDocument(EntryId doc,
                                 const std::vector<std::string>& tokens) {
   if (any_doc_ && doc <= max_doc_) {
@@ -52,43 +76,24 @@ bool InvertedIndex::AddDocument(EntryId doc,
   return true;
 }
 
-std::vector<Posting> InvertedIndex::GetPostings(std::string_view term) const {
-  auto it = terms_.find(term);
-  if (it == terms_.end()) {
-    return {};
-  }
-  const TermEntry& entry = it->second;
-  std::vector<Posting> postings;
-  postings.reserve(entry.doc_freq);
-  std::string_view data = entry.encoded;
-  EntryId prev = 0;
-  for (uint32_t i = 0; i < entry.doc_freq; ++i) {
-    uint32_t gap = 0, freq = 0;
-    // Encoded in-process; decode failures would indicate memory
-    // corruption, so treat them as "stop early".
-    if (!GetVarint32(&data, &gap).ok() || !GetVarint32(&data, &freq).ok()) {
-      break;
-    }
-    EntryId doc = (i == 0) ? gap : prev + gap;
-    postings.push_back(Posting{doc, freq});
-    prev = doc;
-  }
-  if (postings_decoded_ != nullptr) {
-    postings_decoded_->Inc(postings.size());
-  }
-  return postings;
-}
-
 void InvertedIndex::BindMetrics(obs::Counter* postings_decoded) {
   postings_decoded_ = postings_decoded;
 }
 
 std::vector<EntryId> InvertedIndex::GetDocs(std::string_view term) const {
-  std::vector<Posting> postings = GetPostings(term);
+  auto it = terms_.find(term);
+  if (it == terms_.end()) {
+    return {};
+  }
+  const TermEntry& entry = it->second;
   std::vector<EntryId> docs;
-  docs.reserve(postings.size());
-  for (const Posting& p : postings) {
-    docs.push_back(p.doc);
+  docs.reserve(entry.doc_freq);
+  // The blocks lie back to back and each one's first gap continues from
+  // the previous block's last doc, so the list decodes as one run.
+  DecodeRun(entry.encoded, entry.doc_freq, 0,
+            [&docs](EntryId doc, uint32_t) { docs.push_back(doc); });
+  if (postings_decoded_ != nullptr) {
+    postings_decoded_->Inc(docs.size());
   }
   return docs;
 }
@@ -100,14 +105,6 @@ size_t InvertedIndex::DocFreq(std::string_view term) const {
 
 uint32_t InvertedIndex::DocLength(EntryId doc) const {
   return doc < doc_lengths_.size() ? doc_lengths_[doc] : 0;
-}
-
-size_t InvertedIndex::CompressedBytes() const {
-  size_t total = 0;
-  for (const auto& [term, entry] : terms_) {
-    total += entry.encoded.size();
-  }
-  return total;
 }
 
 InvertedIndex::Cursor InvertedIndex::OpenCursor(std::string_view term) const {
@@ -171,17 +168,10 @@ void InvertedIndex::Cursor::DecodeCurrentBlock() {
   data = data.substr(begin, end - begin);
   buf_.clear();
   buf_.reserve(count);
-  EntryId prev = block_ == 0 ? 0 : block_last_doc(block_ - 1);
-  for (uint32_t i = 0; i < count; ++i) {
-    uint32_t gap = 0, freq = 0;
-    // Encoded in-process; decode failures would indicate memory
-    // corruption, so treat them as "stop early" (like GetPostings).
-    if (!GetVarint32(&data, &gap).ok() || !GetVarint32(&data, &freq).ok()) {
-      break;
-    }
-    prev += gap;
-    buf_.push_back(Posting{prev, freq});
-  }
+  DecodeRun(data, count, block_ == 0 ? 0 : block_last_doc(block_ - 1),
+            [this](EntryId doc, uint32_t freq) {
+              buf_.push_back(Posting{doc, freq});
+            });
   decoded_ = true;
   pos_ = 0;
   decoded_postings_ += buf_.size();

@@ -8,11 +8,22 @@
 #include <unordered_map>
 #include <vector>
 
-#include "authidx/index/postings.h"
 #include "authidx/model/record.h"
 #include "authidx/obs/metrics.h"
 
 namespace authidx {
+
+/// One posting: a document (entry) plus the term's frequency in it.
+struct Posting {
+  EntryId doc = 0;
+  uint32_t freq = 1;
+
+  friend bool operator==(const Posting&, const Posting&) = default;
+};
+
+/// Postings per skip block. 32 keeps a skip entry per ~64+ payload
+/// bytes while letting top-k pruning skip whole blocks.
+inline constexpr uint32_t kPostingsBlockSize = 32;
 
 /// In-memory inverted index: term -> compressed postings. Documents are
 /// added with pre-analyzed tokens (the caller runs text::Tokenize so
@@ -21,12 +32,12 @@ namespace authidx {
 /// lengths are kept in an array indexed by doc id, so ids should also be
 /// dense.
 ///
-/// Postings are stored as one continuous delta-varint run per term with
-/// a per-block skip table (kPostingsBlockSize postings per block,
-/// tracking last doc id + max term frequency) maintained incrementally
-/// on add — the in-memory mirror of the EncodeBlockMaxPostings format.
-/// Cursor (below) uses the skip table to decode only the blocks a
-/// top-k pruning loop actually visits.
+/// Postings are stored as one continuous delta-varint run of (gap, freq)
+/// pairs per term (the first gap is the absolute doc id), with a
+/// per-block skip table (kPostingsBlockSize postings per block, tracking
+/// last doc id + max term frequency) maintained incrementally on add.
+/// The bytes never leave the process. Cursor (below) uses the skip table
+/// to decode only the blocks a top-k pruning loop actually visits.
 class InvertedIndex {
  public:
   InvertedIndex() = default;
@@ -36,11 +47,8 @@ class InvertedIndex {
   /// above every previously added doc id.
   bool AddDocument(EntryId doc, const std::vector<std::string>& tokens);
 
-  /// Doc ids containing `term` (empty vector if absent).
+  /// Doc ids containing `term`, ascending (empty vector if absent).
   std::vector<EntryId> GetDocs(std::string_view term) const;
-
-  /// Full postings with term frequencies.
-  std::vector<Posting> GetPostings(std::string_view term) const;
 
   /// Number of documents containing `term`.
   size_t DocFreq(std::string_view term) const;
@@ -64,15 +72,12 @@ class InvertedIndex {
     return doc_count_ == 0 ? 0 : min_doc_tokens_;
   }
 
-  /// Total compressed postings bytes (diagnostics/benchmarks).
-  size_t CompressedBytes() const;
-
   /// All terms (unsorted); mainly for tests and stats.
   std::vector<std::string> Terms() const;
 
   /// Points the index at a registry counter (may be null) counting
-  /// postings decoded by GetPostings/GetDocs and by Cursor block
-  /// decodes. See docs/OBSERVABILITY.md.
+  /// postings decoded by GetDocs and by Cursor block decodes. See
+  /// docs/OBSERVABILITY.md.
   void BindMetrics(obs::Counter* postings_decoded);
 
  private:

@@ -42,16 +42,16 @@ std::vector<ScoredDoc> RankBm25(const InvertedIndex& index,
 
   std::unordered_map<EntryId, double> scores;
   for (const std::string& term : terms) {
-    std::vector<Posting> postings = index.GetPostings(term);
-    if (postings.empty()) {
-      continue;
-    }
-    const double df = static_cast<double>(postings.size());
-    const double idf = Bm25Idf(n, df);
-    for (const Posting& p : postings) {
-      const double tf = static_cast<double>(p.freq);
-      const double doc_len = static_cast<double>(index.DocLength(p.doc));
-      scores[p.doc] += Bm25Contribution(idf, tf, doc_len, avg_len, params);
+    // Walk every posting: seek one past the doc just read.
+    InvertedIndex::Cursor cursor = index.OpenCursor(term);
+    const double idf = Bm25Idf(n, static_cast<double>(cursor.doc_freq()));
+    for (EntryId target = 0; cursor.ShallowSeek(target);
+         target = cursor.doc() + 1) {
+      cursor.Seek(target);
+      const double tf = static_cast<double>(cursor.freq());
+      const double doc_len = static_cast<double>(index.DocLength(cursor.doc()));
+      scores[cursor.doc()] +=
+          Bm25Contribution(idf, tf, doc_len, avg_len, params);
     }
   }
 

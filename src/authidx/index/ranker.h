@@ -50,6 +50,9 @@ struct Bm25Params {
 /// Scores documents matching any query term with Okapi BM25 over `index`
 /// and returns the top `k`, highest score first (doc id breaks ties for
 /// determinism). Terms must be pre-analyzed with the index's analyzer.
+/// Exhaustive: it reads every posting of every term through a Cursor.
+/// No serving path calls it; it is the reference the pruned ranker and
+/// the executor's relevance order are tested against.
 std::vector<ScoredDoc> RankBm25(const InvertedIndex& index,
                                 const std::vector<std::string>& terms,
                                 size_t k, const Bm25Params& params = {});

@@ -20,19 +20,6 @@ std::string AuthorName::ToIndexForm() const {
   return out;
 }
 
-std::string AuthorName::ToReadingForm() const {
-  std::string out;
-  if (!given.empty()) {
-    out = given + " ";
-  }
-  out += surname;
-  if (!suffix.empty()) {
-    out += ", ";
-    out += suffix;
-  }
-  return out;
-}
-
 std::string AuthorName::GroupKey() const {
   std::string out = surname;
   out += ", ";

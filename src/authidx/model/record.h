@@ -29,9 +29,6 @@ struct AuthorName {
   /// Renders in index form: "Surname, Given, Suffix*".
   std::string ToIndexForm() const;
 
-  /// Renders in reading form: "Given Surname, Suffix".
-  std::string ToReadingForm() const;
-
   /// Key used for grouping and collation: "surname, given, suffix"
   /// (student marker excluded so the same person groups together).
   std::string GroupKey() const;

@@ -235,7 +235,7 @@ WireStatus WireStatusFromStatus(const Status& status);
 /// Inverse mapping for the client: reconstructs a Status carrying
 /// `message`. Transport-level conditions map onto the closest engine
 /// code — RETRYABLE_BUSY becomes ResourceExhausted (transient under
-/// common/retry.h, so RetryWithBackoff retries it), BAD_FRAME becomes
+/// common/retry.h, so the client retries it), BAD_FRAME becomes
 /// InvalidArgument, UNKNOWN_OPCODE becomes NotSupported, NOT_PRIMARY
 /// becomes FailedPrecondition (non-transient: never retried, never
 /// failed over).

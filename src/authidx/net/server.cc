@@ -24,6 +24,22 @@ namespace authidx::net {
 
 namespace {
 
+// Bound on a response write to a slow client (SO_SNDTIMEO); on expiry
+// the connection is dropped, so a stalled reader cannot hold a worker.
+constexpr int kSendTimeoutMs = 5000;
+
+// Sampled traces kept per latency-decade bucket of the trace store
+// (obs::TraceStore; 6x this in all).
+constexpr size_t kTraceStorePerBucket = 8;
+
+// Caps on one REPL_RECORDS batch read from the log per feeder pass;
+// whichever trips first. A log record larger than the byte cap ships as
+// put-batch pieces of at most that size, one frame each, so no frame
+// outgrows the follower's frame cap (kMaxFrameBytesDefault, 1 MiB).
+constexpr size_t kReplMaxBatchRecords = 512;
+constexpr size_t kReplMaxBatchBytes = 256 * 1024;
+static_assert(kReplMaxBatchBytes < kMaxFrameBytesDefault);
+
 // Writes all of `data`, retrying short writes and EINTR. The socket is
 // blocking with SO_SNDTIMEO, so a stalled peer fails the write after
 // the timeout instead of wedging the calling thread. MSG_NOSIGNAL: a
@@ -126,7 +142,7 @@ Server::Server(core::AuthorIndex* catalog, ServerOptions options)
     : catalog_(catalog),
       options_(std::move(options)),
       sampler_(options_.trace_sample_every),
-      trace_store_(options_.trace_store_per_bucket),
+      trace_store_(kTraceStorePerBucket),
       trace_rng_(obs::MonotonicNowNs() | 1) {
   if (options_.metrics != nullptr) {
     metrics_ = options_.metrics;
@@ -279,7 +295,7 @@ Status Server::Start() {
   }
   // The replication feeder only exists on a storage-backed primary:
   // replicas must not cascade, and an in-memory catalog has no WAL.
-  if (!options_.replica && !catalog_->is_replica() &&
+  if (!catalog_->is_replica() &&
       catalog_->storage_engine() != nullptr) {
     {
       MutexLock lock(feeder_mu_);
@@ -421,8 +437,8 @@ void Server::AcceptPending() {
     // SO_SNDTIMEO so a stalled reader drops the connection instead of
     // holding a worker thread hostage.
     timeval timeout;
-    timeout.tv_sec = options_.send_timeout_ms / 1000;
-    timeout.tv_usec = (options_.send_timeout_ms % 1000) * 1000;
+    timeout.tv_sec = kSendTimeoutMs / 1000;
+    timeout.tv_usec = (kSendTimeoutMs % 1000) * 1000;
     ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
     ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
 
@@ -579,7 +595,7 @@ bool Server::EnqueueControl(const std::shared_ptr<Connection>& conn,
                             uint64_t request_id, ResponsePayload response,
                             bool close_after) {
   // Writing from the event loop would let one peer that stops reading
-  // stall every connection for up to send_timeout_ms — precisely under
+  // stall every connection for up to kSendTimeoutMs — precisely under
   // overload, when sheds are generated. Hand the reply to a worker
   // instead, bounded per connection: the bound is generous (a burst
   // pipelined past max_pipeline legitimately pends that many shed
@@ -867,7 +883,7 @@ ResponsePayload Server::HandleRequest(
       break;
     }
     case Opcode::kAdd: {
-      if (options_.replica || catalog_->is_replica()) {
+      if (catalog_->is_replica()) {
         response.status = WireStatus::kNotPrimary;
         response.message =
             "this node is a read replica; send mutations to the primary";
@@ -936,7 +952,7 @@ ResponsePayload Server::HandleRequest(
 ResponsePayload Server::HandleReplSubscribe(
     const Task& task, std::shared_ptr<Subscriber>* pending_sub) {
   ResponsePayload response;
-  if (options_.replica || catalog_->is_replica()) {
+  if (catalog_->is_replica()) {
     response.status = WireStatus::kNotPrimary;
     response.message =
         "this node is a read replica; subscribe to the primary";
@@ -967,7 +983,7 @@ ResponsePayload Server::HandleReplSubscribe(
   // is surfaced as corruption.
   storage::ReplicationSource source(engine);
   Result<storage::ReplicationBatch> checked =
-      source.ReadBatch(sub->pos, 0, options_.repl_max_batch_bytes);
+      source.ReadBatch(sub->pos, 0, kReplMaxBatchBytes);
   if (!checked.ok()) {
     response.status = WireStatusFromStatus(checked.status());
     response.message = checked.status().ToString();
@@ -1061,8 +1077,7 @@ bool Server::FeedSubscriber(const std::shared_ptr<Subscriber>& sub,
   // Ship committed records until this subscriber is caught up.
   for (;;) {
     Result<storage::ReplicationBatch> batch = source->ReadBatch(
-        sub->pos, options_.repl_max_batch_records,
-        options_.repl_max_batch_bytes);
+        sub->pos, kReplMaxBatchRecords, kReplMaxBatchBytes);
     if (!batch.ok()) {
       log_->Log(obs::LogLevel::kWarn, "repl_feed_failed",
                 {{"error", batch.status().message()},
@@ -1073,7 +1088,7 @@ bool Server::FeedSubscriber(const std::shared_ptr<Subscriber>& sub,
     if (batch->records.empty() && batch->end == sub->pos) {
       break;
     }
-    // One frame per repl_max_batch_bytes of records: a split record
+    // One frame per kReplMaxBatchBytes of records: a split record
     // spans several. Only the last frame carries the batch's end; the
     // others repeat the current cursor, so a follower that crashes
     // mid-record is re-sent the whole record and skips the pieces it
@@ -1086,7 +1101,7 @@ bool Server::FeedSubscriber(const std::shared_ptr<Subscriber>& sub,
       while (next < batch->records.size() &&
              (wire.records.empty() ||
               frame_bytes + batch->records[next].size() <=
-                  options_.repl_max_batch_bytes)) {
+                  kReplMaxBatchBytes)) {
         frame_bytes += batch->records[next].size();
         wire.records.push_back(std::move(batch->records[next++]));
       }

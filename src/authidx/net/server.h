@@ -48,9 +48,6 @@ struct ServerOptions {
   /// queue without bound (the RPC-layer analogue of the storage
   /// engine's write-stall backpressure).
   size_t queue_limit = 256;
-  /// Bound on a response write to a slow client; on expiry the
-  /// connection is dropped (a stalled reader must not hold a worker).
-  int send_timeout_ms = 5000;
   /// Registry for the authidx_server_* / authidx_shed_* instruments
   /// (must outlive the server). nullptr gives the server a private
   /// registry, readable via metrics(). Pass the catalog's registry
@@ -66,35 +63,22 @@ struct ServerOptions {
   /// decision instead). 0 disables server-side head sampling; requests
   /// slower than the catalog's slow-query threshold are still sampled.
   uint64_t trace_sample_every = 0;
-  /// Sampled traces retained per latency-decade bucket of the trace
-  /// store (see obs::TraceStore; total capacity is 6x this).
-  size_t trace_store_per_bucket = 8;
   /// Test-only: every request handler sleeps this long before
   /// executing, making "worker busy" states deterministic in shedding
   /// and drain tests. 0 in production.
   uint64_t handler_delay_ms_for_test = 0;
-  /// Replica mode: this server fronts a follower catalog, so ADD and
-  /// REPL_SUBSCRIBE are answered NOT_PRIMARY (no cascading replication)
-  /// and the feeder thread is never started. Read paths (PING/QUERY/
-  /// STATS) and FLUSH serve normally. Forced on automatically when the
-  /// catalog reports is_replica().
-  bool replica = false;
   /// Replication feeder cadence: how often a subscribed follower gets a
   /// REPL_HEARTBEAT (and how quickly freshly committed records ship
   /// when the feeder was idle).
   int repl_heartbeat_interval_ms = 500;
-  /// Caps on one REPL_RECORDS batch read from the log per feeder pass.
-  size_t repl_max_batch_records = 512;
-  /// Byte sibling of repl_max_batch_records; whichever trips first. A
-  /// log record larger than this ships as put-batch pieces of at most
-  /// this size, one REPL_RECORDS frame each, so no frame outgrows the
-  /// follower's frame cap.
-  size_t repl_max_batch_bytes = 256 * 1024;
 };
 
 /// The authidx network front end: accepts loopback TCP connections
 /// speaking the framed wire protocol (net/protocol.h, docs/PROTOCOL.md)
-/// and executes requests against an AuthorIndex.
+/// and executes requests against an AuthorIndex. A server over a
+/// follower catalog (AuthorIndex::is_replica()) answers ADD and
+/// REPL_SUBSCRIBE with NOT_PRIMARY (no cascading replication) and never
+/// starts the replication feeder; reads and FLUSH serve normally.
 ///
 /// Threading: one event-loop thread owns the listening socket, an epoll
 /// set, and every connection's read side; it parses frames and either
@@ -102,7 +86,7 @@ struct ServerOptions {
 /// max_pipeline) or hands them to a pool of worker threads. The event
 /// loop never writes to a socket — shed and protocol-error replies are
 /// handed to the workers as precomputed responses, so a peer that stops
-/// reading can stall at most one worker (for send_timeout_ms), never
+/// reading can stall at most one worker (for the 5 s send timeout), never
 /// the loop that serves every other connection. Workers execute
 /// against the (already thread-safe) catalog and write the response
 /// frame back under a per-connection write lock — responses to

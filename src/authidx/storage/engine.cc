@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "authidx/common/coding.h"
 #include "authidx/common/strings.h"
 #include "authidx/obs/trace.h"
 
@@ -302,10 +301,10 @@ Result<WalScan> StorageEngine::ScanLog(WalPosition end,
 
 std::string StorageEngine::EncodePutRecord(std::string_view key,
                                            std::string_view value) {
-  std::string record(1, kWalPut);
-  PutLengthPrefixed(&record, key);
-  PutLengthPrefixed(&record, value);
-  return record;
+  // A put record's bytes are those of one batch op.
+  WriteBatch op;
+  op.Put(key, value);
+  return op.rep();
 }
 
 Status StorageEngine::QueueWrite(std::string record, uint64_t puts) {

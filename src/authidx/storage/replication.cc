@@ -18,18 +18,16 @@ constexpr size_t kPositionFileBytes = 16;  // Two fixed64s.
 Status SplitRecord(std::string_view record, size_t max_bytes,
                    std::vector<std::string>* pieces) {
   std::string piece(1, kWalBatch);
+  WriteBatch op;
   Status s = ForEachRecordOp(
       record, [&](std::string_view key, std::string_view value) {
-        const size_t op_bytes =
-            1 + static_cast<size_t>(VarintLength64(key.size())) + key.size() +
-            static_cast<size_t>(VarintLength64(value.size())) + value.size();
-        if (piece.size() > 1 && piece.size() + op_bytes > max_bytes) {
+        op.Clear();
+        op.Put(key, value);
+        if (piece.size() > 1 && piece.size() + op.rep().size() > max_bytes) {
           pieces->push_back(std::move(piece));
           piece.assign(1, kWalBatch);
         }
-        piece.push_back(kWalPut);
-        PutLengthPrefixed(&piece, key);
-        PutLengthPrefixed(&piece, value);
+        piece += op.rep();
         return Status::OK();
       });
   if (piece.size() > 1) {

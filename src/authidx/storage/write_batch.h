@@ -2,11 +2,8 @@
 #define AUTHIDX_STORAGE_WRITE_BATCH_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
-
-#include "authidx/common/status.h"
 
 namespace authidx::storage {
 
@@ -24,18 +21,10 @@ class WriteBatch {
   uint32_t count() const { return count_; }
   bool empty() const { return count_ == 0; }
 
-  /// Serialized operations (op byte + length-prefixed fields, repeated).
+  /// Serialized put ops, each kWalPut + length-prefixed key + value.
+  /// This is the one encoder of that format: kWalBatch + rep() is a
+  /// batch log record, and storage::ForEachRecordOp (wal.h) decodes it.
   const std::string& rep() const { return rep_; }
-
-  /// Approximate in-memory/WAL footprint.
-  size_t ByteSize() const { return rep_.size(); }
-
-  /// Decodes `rep` (as produced by this class), invoking `on_put` per
-  /// operation. Returns Corruption on malformed input, including any op
-  /// other than a put.
-  static Status Iterate(
-      std::string_view rep,
-      const std::function<void(std::string_view, std::string_view)>& on_put);
 
  private:
   std::string rep_;

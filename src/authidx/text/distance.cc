@@ -26,29 +26,6 @@ size_t Levenshtein(std::string_view a, std::string_view b) {
   return row[b.size()];
 }
 
-size_t DamerauLevenshtein(std::string_view a, std::string_view b) {
-  const size_t n = a.size();
-  const size_t m = b.size();
-  // Three rolling rows: i-2, i-1, i.
-  std::vector<size_t> prev2(m + 1), prev(m + 1), cur(m + 1);
-  for (size_t j = 0; j <= m; ++j) {
-    prev[j] = j;
-  }
-  for (size_t i = 1; i <= n; ++i) {
-    cur[0] = i;
-    for (size_t j = 1; j <= m; ++j) {
-      size_t cost = (a[i - 1] == b[j - 1]) ? 0 : 1;
-      cur[j] = std::min({prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost});
-      if (i > 1 && j > 1 && a[i - 1] == b[j - 2] && a[i - 2] == b[j - 1]) {
-        cur[j] = std::min(cur[j], prev2[j - 2] + 1);
-      }
-    }
-    std::swap(prev2, prev);
-    std::swap(prev, cur);
-  }
-  return prev[m];
-}
-
 size_t BoundedLevenshtein(std::string_view a, std::string_view b,
                           size_t max_dist) {
   if (a.size() < b.size()) {

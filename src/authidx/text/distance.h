@@ -10,10 +10,6 @@ namespace authidx::text {
 /// O(|a|*|b|) time, O(min(|a|,|b|)) space.
 size_t Levenshtein(std::string_view a, std::string_view b);
 
-/// Damerau-Levenshtein in the "optimal string alignment" variant, which
-/// additionally counts adjacent transpositions ("teh" -> "the" = 1).
-size_t DamerauLevenshtein(std::string_view a, std::string_view b);
-
 /// Banded Levenshtein: returns the exact distance if it is <= max_dist,
 /// otherwise returns max_dist + 1. Runs in O(max_dist * min(|a|,|b|)),
 /// which is what makes fuzzy scans over large author dictionaries cheap.

@@ -176,16 +176,4 @@ std::string NormalizeForIndex(std::string_view utf8) {
   return out;
 }
 
-std::string StripToAlnum(std::string_view utf8) {
-  std::string folded = FoldCase(utf8);
-  std::string out;
-  out.reserve(folded.size());
-  for (char c : folded) {
-    if ((c >= 'a' && c <= 'z') || IsAsciiDigit(c) || c == ' ') {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
 }  // namespace authidx::text

@@ -21,10 +21,6 @@ std::string FoldCase(std::string_view utf8);
 /// FoldCase plus: collapses runs of whitespace to single spaces and trims.
 std::string NormalizeForIndex(std::string_view utf8);
 
-/// Removes every character that is not an ASCII letter, digit or space
-/// (after folding); used to build phonetic keys.
-std::string StripToAlnum(std::string_view utf8);
-
 /// True if `c` is an ASCII letter.
 inline bool IsAsciiAlpha(char c) {
   return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');

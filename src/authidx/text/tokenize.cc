@@ -29,8 +29,7 @@ bool IsStopword(std::string_view folded_word) {
                             folded_word);
 }
 
-std::vector<std::string> Tokenize(std::string_view utf8,
-                                  const TokenizeOptions& options) {
+std::vector<std::string> Tokenize(std::string_view utf8) {
   std::string folded = FoldCase(utf8);
   std::vector<std::string> tokens;
   size_t i = 0;
@@ -45,14 +44,10 @@ std::vector<std::string> Tokenize(std::string_view utf8,
         ++i;
       }
       std::string token = folded.substr(start, i - start);
-      if (options.remove_stopwords && !numeric && IsStopword(token)) {
-        continue;
-      }
-      if (options.stem && !numeric) {
-        token = PorterStem(token);
-      }
-      if (token.size() >= options.min_length) {
+      if (numeric) {
         tokens.push_back(std::move(token));
+      } else if (!IsStopword(token)) {
+        tokens.push_back(PorterStem(token));
       }
     } else {
       ++i;

@@ -7,22 +7,12 @@
 
 namespace authidx::text {
 
-/// Options controlling `Tokenize`.
-struct TokenizeOptions {
-  /// Drop English stopwords ("the", "of", "and", ...).
-  bool remove_stopwords = true;
-  /// Apply the Porter stemmer to each token.
-  bool stem = true;
-  /// Tokens shorter than this (after stemming) are dropped.
-  size_t min_length = 1;
-};
-
 /// Splits `utf8` into normalized word tokens: case/accent folded,
-/// punctuation-separated, digits kept as standalone tokens. This is the
-/// analyzer used for title text feeding the inverted index; queries must
-/// use the same options to match.
-std::vector<std::string> Tokenize(std::string_view utf8,
-                                  const TokenizeOptions& options = {});
+/// punctuation-separated, English stopwords ("the", "of", ...) dropped,
+/// words Porter-stemmed, digit runs kept as standalone tokens. This is
+/// the one analyzer for title text: the inverted index and the query
+/// parser both call it, so indexed and queried terms always agree.
+std::vector<std::string> Tokenize(std::string_view utf8);
 
 /// True if the (already folded) word is an English stopword.
 bool IsStopword(std::string_view folded_word);

@@ -24,29 +24,6 @@ TEST(LevenshteinTest, Symmetry) {
   EXPECT_EQ(Levenshtein("abcdef", "azced"), Levenshtein("azced", "abcdef"));
 }
 
-TEST(DamerauTest, TranspositionsCountOnce) {
-  EXPECT_EQ(DamerauLevenshtein("teh", "the"), 1u);
-  EXPECT_EQ(Levenshtein("teh", "the"), 2u);
-  EXPECT_EQ(DamerauLevenshtein("abcd", "abdc"), 1u);
-  EXPECT_EQ(DamerauLevenshtein("ca", "ac"), 1u);
-  EXPECT_EQ(DamerauLevenshtein("abc", "abc"), 0u);
-}
-
-TEST(DamerauTest, NeverExceedsLevenshtein) {
-  Random rng(31);
-  for (int i = 0; i < 500; ++i) {
-    std::string a, b;
-    for (size_t j = rng.Uniform(10); j > 0; --j) {
-      a += static_cast<char>('a' + rng.Uniform(4));
-    }
-    for (size_t j = rng.Uniform(10); j > 0; --j) {
-      b += static_cast<char>('a' + rng.Uniform(4));
-    }
-    EXPECT_LE(DamerauLevenshtein(a, b), Levenshtein(a, b))
-        << a << " vs " << b;
-  }
-}
-
 TEST(BoundedTest, ExactWithinBudget) {
   EXPECT_EQ(BoundedLevenshtein("kitten", "sitting", 3), 3u);
   EXPECT_EQ(BoundedLevenshtein("kitten", "sitting", 5), 3u);

@@ -1,19 +1,14 @@
 // Deterministic fuzzing of the Entry binary serde (the value format of
-// the storage engine and WAL) and of the block-max postings decoder:
+// the storage engine and WAL):
 //  * encode(entry) -> decode must reproduce the entry exactly for
 //    arbitrary field contents (including embedded NUL and non-UTF-8);
 //  * decoding corrupted or random bytes must never crash and must fail
-//    with a Status (Corruption/InvalidArgument), never UB — in the
-//    block-max case that covers forged counts ahead of any reserve(),
-//    corrupted skip entries, and truncated blocks;
+//    with a Status (Corruption/InvalidArgument), never UB;
 //  * decode -> encode -> decode must be a fixed point.
 // Run under the asan-ubsan preset for full effect.
 
 #include <gtest/gtest.h>
 
-#include <set>
-
-#include "authidx/index/postings.h"
 #include "authidx/model/serde.h"
 #include "fuzz_util.h"
 
@@ -87,65 +82,6 @@ TEST(FuzzSerde, RandomBytesNeverCrash) {
     DecodeEntryExact(bytes).status().IgnoreError();
     std::string_view input(bytes);
     DecodeEntry(&input).status().IgnoreError();
-  }
-}
-
-std::string RandomBlockMaxList(Random* rng, size_t max_postings) {
-  std::set<EntryId> ids;
-  uint64_t n = rng->Uniform(max_postings + 1);
-  while (ids.size() < n) {
-    ids.insert(static_cast<EntryId>(rng->Uniform(1 << 22)));
-  }
-  std::vector<Posting> postings;
-  for (EntryId id : ids) {
-    postings.push_back({id, 1 + static_cast<uint32_t>(rng->Skewed(4))});
-  }
-  return EncodeBlockMaxPostings(postings);
-}
-
-TEST(FuzzBlockMax, CorruptedEncodingsNeverCrash) {
-  // Mutated real encodings hammer the skip-table validation: forged
-  // counts, broken last-doc chains, payload/skip disagreements,
-  // truncations mid-varint and mid-block.
-  Random seed_rng(0xb10c);
-  std::vector<std::string> corpus;
-  for (int i = 0; i < 32; ++i) {
-    corpus.push_back(RandomBlockMaxList(&seed_rng, 200));
-  }
-  CorpusMutator mutator(std::move(corpus), /*seed=*/0xb10cbad);
-  int iters = FuzzIterations();
-  for (int i = 0; i < iters; ++i) {
-    std::string bytes = mutator.Next();
-    SCOPED_TRACE("case " + std::to_string(i));
-    Result<std::vector<Posting>> decoded = DecodeBlockMaxPostings(bytes);
-    if (!decoded.ok()) {
-      continue;  // Rejection must be a Status, never a crash.
-    }
-    // Anything accepted must re-encode to a decodable, equal list.
-    Result<std::vector<Posting>> redecoded =
-        DecodeBlockMaxPostings(EncodeBlockMaxPostings(*decoded));
-    ASSERT_TRUE(redecoded.ok()) << redecoded.status();
-    EXPECT_EQ(*redecoded, *decoded);
-  }
-}
-
-TEST(FuzzBlockMax, RandomBytesNeverCrash) {
-  Random rng(0xb10cf00d);
-  int iters = FuzzIterations();
-  for (int i = 0; i < iters; ++i) {
-    SCOPED_TRACE("case " + std::to_string(i));
-    std::string bytes = RandomBytes(&rng, 300);
-    DecodeBlockMaxPostings(bytes).status().IgnoreError();
-    // The reader path too: a skip table that validates structurally
-    // must still decode every block without UB or over-read.
-    Result<BlockMaxReader> reader = BlockMaxReader::Open(bytes);
-    if (!reader.ok()) {
-      continue;
-    }
-    std::vector<Posting> block;
-    for (size_t b = 0; b < reader->block_count(); ++b) {
-      reader->DecodeBlock(b, &block).IgnoreError();
-    }
   }
 }
 

@@ -512,7 +512,7 @@ TEST(StatusMappingTest, TransportConditionsMapToRetryableEngineCodes) {
   Status busy = StatusFromWire(WireStatus::kRetryableBusy, "queue full");
   EXPECT_TRUE(busy.IsResourceExhausted());
   // The whole point of RETRYABLE_BUSY: common/retry.h treats it as
-  // transient, so RetryWithBackoff re-sends shed requests.
+  // transient, so the client re-sends shed requests.
   EXPECT_TRUE(IsTransientError(busy));
 
   Status bad = StatusFromWire(WireStatus::kBadFrame, "crc");

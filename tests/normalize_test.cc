@@ -53,10 +53,6 @@ TEST(NormalizeForIndexTest, CollapsesWhitespace) {
   EXPECT_EQ(NormalizeForIndex("   "), "");
 }
 
-TEST(StripToAlnumTest, DropsPunctuation) {
-  EXPECT_EQ(StripToAlnum("O'Brien, J.R. (3rd)"), "obrien jr 3rd");
-}
-
 TEST(CharClassTest, Predicates) {
   EXPECT_TRUE(IsAsciiAlpha('a'));
   EXPECT_TRUE(IsAsciiAlpha('Z'));

@@ -1,12 +1,10 @@
 // Unit tests for the bounded-retry helper (common/retry.h): transient
-// classification, exponential backoff shape, jitter bounds, and the
-// retry loop's give-up/observer behavior.
+// classification, exponential backoff shape and jitter bounds.
 
 #include "authidx/common/retry.h"
 
 #include <gtest/gtest.h>
 
-#include <vector>
 
 #include "authidx/common/random.h"
 #include "authidx/common/status.h"
@@ -58,72 +56,6 @@ TEST(RetryBackoffTest, JitterStaysInsideEqualJitterWindow) {
       EXPECT_LE(delay, full);
     }
   }
-}
-
-TEST(RetryWithBackoffTest, ReturnsFirstSuccess) {
-  int calls = 0;
-  Random rng(1);
-  Status s = RetryWithBackoff(
-      RetryPolicy{}, &rng,
-      [&] {
-        ++calls;
-        return calls < 3 ? Status::IOError("flaky") : Status::OK();
-      },
-      nullptr, [](uint64_t) {});
-  EXPECT_TRUE(s.ok());
-  EXPECT_EQ(calls, 3);
-}
-
-TEST(RetryWithBackoffTest, GivesUpAfterMaxAttempts) {
-  int calls = 0;
-  std::vector<int> observed_attempts;
-  RetryPolicy policy;
-  policy.max_attempts = 4;
-  Random rng(1);
-  Status s = RetryWithBackoff(
-      policy, &rng,
-      [&] {
-        ++calls;
-        return Status::IOError("still down");
-      },
-      [&](int attempt, const Status& failure, uint64_t delay_us) {
-        observed_attempts.push_back(attempt);
-        EXPECT_TRUE(failure.IsIOError());
-        EXPECT_LE(delay_us, policy.max_delay_us);
-      },
-      [](uint64_t) {});
-  EXPECT_TRUE(s.IsIOError());
-  EXPECT_EQ(calls, 4);
-  // The observer fires before each retry sleep: attempts 1..3.
-  EXPECT_EQ(observed_attempts, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(RetryWithBackoffTest, PermanentErrorIsNotRetried) {
-  int calls = 0;
-  Random rng(1);
-  Status s = RetryWithBackoff(
-      RetryPolicy{}, &rng,
-      [&] {
-        ++calls;
-        return Status::Corruption("deterministic");
-      },
-      nullptr, [](uint64_t) {});
-  EXPECT_TRUE(s.IsCorruption());
-  EXPECT_EQ(calls, 1);
-}
-
-TEST(RetryWithBackoffTest, SingleAttemptPolicyDisablesRetry) {
-  int calls = 0;
-  RetryPolicy policy;
-  policy.max_attempts = 1;
-  Random rng(1);
-  Status s = RetryWithBackoff(
-      policy, &rng, [&] {
-        ++calls;
-        return Status::IOError("down");
-      });
-  EXPECT_TRUE(s.IsIOError());
-  EXPECT_EQ(calls, 1);
 }
 
 }  // namespace

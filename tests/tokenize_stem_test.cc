@@ -113,21 +113,6 @@ TEST(TokenizeTest, PunctuationSeparates) {
   EXPECT_EQ(tokens[1], PorterStem("employee"));
 }
 
-TEST(TokenizeTest, OptionsControlPipeline) {
-  TokenizeOptions raw;
-  raw.remove_stopwords = false;
-  raw.stem = false;
-  auto tokens = Tokenize("The Mining", raw);
-  EXPECT_EQ(tokens, (std::vector<std::string>{"the", "mining"}));
-
-  TokenizeOptions min3;
-  min3.min_length = 3;
-  min3.remove_stopwords = false;
-  min3.stem = false;
-  EXPECT_EQ(Tokenize("an ox ran far", min3),
-            (std::vector<std::string>{"ran", "far"}));
-}
-
 TEST(TokenizeTest, AccentedTitles) {
   auto tokens = Tokenize("Décisions Économiques");
   ASSERT_EQ(tokens.size(), 2u);

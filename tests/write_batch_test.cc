@@ -4,6 +4,8 @@
 
 #include <filesystem>
 #include <map>
+#include <string>
+#include <vector>
 
 #include "authidx/common/strings.h"
 #include "authidx/storage/engine.h"
@@ -14,24 +16,26 @@ namespace {
 
 using Contents = std::map<std::string, std::string>;
 
-TEST(WriteBatchTest, BuildAndIterate) {
+// Decodes `batch` the way recovery and replication do: as the batch log
+// record kWalBatch + rep().
+Status ForEachOp(const WriteBatch& batch, std::vector<std::string>* ops) {
+  return ForEachRecordOp(kWalBatch + batch.rep(),
+                         [&](std::string_view k, std::string_view v) {
+                           ops->push_back(std::string(k) + "=" +
+                                          std::string(v));
+                           return Status::OK();
+                         });
+}
+
+TEST(WriteBatchTest, BuildAndDecode) {
   WriteBatch batch;
   batch.Put("a", "1");
   batch.Put("b", "2");
   batch.Put("c", "3");
   EXPECT_EQ(batch.count(), 3u);
   std::vector<std::string> ops;
-  ASSERT_TRUE(WriteBatch::Iterate(
-                  batch.rep(),
-                  [&](std::string_view k, std::string_view v) {
-                    ops.push_back("put " + std::string(k) + "=" +
-                                  std::string(v));
-                  })
-                  .ok());
-  ASSERT_EQ(ops.size(), 3u);
-  EXPECT_EQ(ops[0], "put a=1");
-  EXPECT_EQ(ops[1], "put b=2");
-  EXPECT_EQ(ops[2], "put c=3");
+  ASSERT_TRUE(ForEachOp(batch, &ops).ok());
+  EXPECT_EQ(ops, (std::vector<std::string>{"a=1", "b=2", "c=3"}));
 }
 
 TEST(WriteBatchTest, ClearResets) {
@@ -42,33 +46,30 @@ TEST(WriteBatchTest, ClearResets) {
   EXPECT_TRUE(batch.rep().empty());
 }
 
-TEST(WriteBatchTest, IterateRejectsGarbage) {
-  auto nop_put = [](std::string_view, std::string_view) {};
-  EXPECT_TRUE(WriteBatch::Iterate("X", nop_put).IsCorruption());
+TEST(WriteBatchTest, DecodeRejectsGarbage) {
+  auto nop_put = [](std::string_view, std::string_view) {
+    return Status::OK();
+  };
+  EXPECT_TRUE(ForEachRecordOp(kWalBatch + std::string("X"), nop_put)
+                  .IsCorruption());
   WriteBatch batch;
   batch.Put("key", "value");
   std::string truncated = batch.rep().substr(0, batch.rep().size() - 2);
-  EXPECT_TRUE(WriteBatch::Iterate(truncated, nop_put).IsCorruption());
+  EXPECT_TRUE(ForEachRecordOp(kWalBatch + truncated, nop_put).IsCorruption());
   // A well-formed delete op ('D' + length-prefixed key), as the retired
   // WriteBatch::Delete encoded it, after a valid put.
   std::string with_delete = batch.rep() + std::string("D\x01k", 3);
-  EXPECT_TRUE(WriteBatch::Iterate(with_delete, nop_put).IsCorruption());
+  EXPECT_TRUE(
+      ForEachRecordOp(kWalBatch + with_delete, nop_put).IsCorruption());
 }
 
 TEST(WriteBatchTest, BinarySafety) {
   WriteBatch batch;
   std::string key("k\0ey", 4), value("v\xffl", 3);
   batch.Put(key, value);
-  bool seen = false;
-  ASSERT_TRUE(WriteBatch::Iterate(
-                  batch.rep(),
-                  [&](std::string_view k, std::string_view v) {
-                    EXPECT_EQ(k, key);
-                    EXPECT_EQ(v, value);
-                    seen = true;
-                  })
-                  .ok());
-  EXPECT_TRUE(seen);
+  std::vector<std::string> ops;
+  ASSERT_TRUE(ForEachOp(batch, &ops).ok());
+  EXPECT_EQ(ops, (std::vector<std::string>{key + "=" + value}));
 }
 
 class BatchEngineTest : public ::testing::Test {

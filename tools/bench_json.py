@@ -23,9 +23,13 @@ With `--diff BASELINE.json`, the freshly merged results are also
 compared against a previous artifact: every benchmark present in both
 files is matched by (binary, name) and its real_time delta reported
 when it moved more than `--diff-threshold` percent (default 10) in
-either direction. The diff is a report, not a gate — timing noise on
-shared CI runners would make a hard threshold flaky — so it never
-changes the exit status.
+either direction. Every baseline row of a binary that ran (and that
+`--benchmark-filter`, if given, selects) but that the run did not
+produce is listed too: a renamed or deleted benchmark, or a baseline
+older than the code, shows up instead of silently dropping out of the
+comparison. The diff is a report, not a gate — timing noise on shared
+CI runners would make a hard threshold flaky — so it never changes the
+exit status.
 
 Usage:
     python3 tools/bench_json.py                      # full suite
@@ -41,6 +45,7 @@ import argparse
 import datetime
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -117,8 +122,11 @@ def run_one(binary: Path, benchmark_filter: str, timeout_s: int):
     return json.loads(proc.stdout)
 
 
-def diff_against_baseline(merged, baseline_path: Path, threshold_pct: float):
-    """Prints real_time deltas beyond the threshold. Report-only."""
+def diff_against_baseline(merged, baseline_path: Path, threshold_pct: float,
+                          benchmark_filter=None):
+    """Prints real_time deltas beyond the threshold, then the baseline
+    rows of the binaries that ran which the run did not produce.
+    Report-only."""
     try:
         baseline = json.loads(baseline_path.read_text())
     except (OSError, json.JSONDecodeError) as err:
@@ -153,6 +161,18 @@ def diff_against_baseline(merged, baseline_path: Path, threshold_pct: float):
         direction = "slower" if delta_pct > 0 else "faster"
         print(f"  {binary}/{name}: {base:.0f} -> {now:.0f} ns "
               f"({abs(delta_pct):.1f}% {direction})")
+
+    produced = {(binary, entry.get("name"))
+                for binary, entries in merged["benchmarks"].items()
+                for entry in entries}
+    selected = re.compile(benchmark_filter or "")
+    missing = sorted(key for key in base_times
+                     if key[0] in merged["benchmarks"]
+                     and key not in produced and selected.search(key[1]))
+    print(f"{len(missing)} baseline benchmarks of the binaries run were "
+          f"not produced")
+    for binary, name in missing:
+        print(f"  {binary}/{name}")
 
 
 def main() -> int:
@@ -244,7 +264,8 @@ def main() -> int:
     print(f"wrote {out_path} ({total} benchmarks from "
           f"{len(merged['benchmarks'])} binaries)")
     if args.diff:
-        diff_against_baseline(merged, Path(args.diff), args.diff_threshold)
+        diff_against_baseline(merged, Path(args.diff), args.diff_threshold,
+                              args.benchmark_filter)
     if failures:
         print(f"error: {len(failures)} binaries failed: {failures}",
               file=sys.stderr)
