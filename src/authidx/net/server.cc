@@ -295,8 +295,7 @@ Status Server::Start() {
   }
   // The replication feeder only exists on a storage-backed primary:
   // replicas must not cascade, and an in-memory catalog has no WAL.
-  if (!catalog_->is_replica() &&
-      catalog_->storage_engine() != nullptr) {
+  if (!catalog_->is_replica() && catalog_->storage_engine() != nullptr) {
     {
       MutexLock lock(feeder_mu_);
       feeder_stop_ = false;

@@ -35,7 +35,7 @@ Usage:
     python3 tools/bench_json.py                      # full suite
     python3 tools/bench_json.py --only bench_coding,bench_collation
     python3 tools/bench_json.py --benchmark-filter 'Varint' --out /tmp/b.json
-    python3 tools/bench_json.py --diff BENCH_2026-10-17.json
+    python3 tools/bench_json.py --diff BENCH_2026-10-19.json
 
 Exit status: 0 when every selected binary ran and parsed, 1 otherwise
 (partial results are still written so a long run is never wasted).
@@ -151,15 +151,17 @@ def diff_against_baseline(merged, baseline_path: Path, threshold_pct: float,
             compared += 1
             delta_pct = (now - base) / base * 100.0
             if abs(delta_pct) > threshold_pct:
-                moved.append((delta_pct, binary, entry["name"], base, now))
+                moved.append((delta_pct, binary, entry["name"], base, now,
+                              entry.get("time_unit", "ns")))
 
     date = baseline.get("date", "?")
     print(f"diff vs {baseline_path.name} (baseline date {date}): "
           f"{compared} comparable benchmarks, {len(moved)} moved more than "
           f"{threshold_pct:g}%")
-    for delta_pct, binary, name, base, now in sorted(moved, reverse=True):
+    for delta_pct, binary, name, base, now, unit in sorted(moved,
+                                                         reverse=True):
         direction = "slower" if delta_pct > 0 else "faster"
-        print(f"  {binary}/{name}: {base:.0f} -> {now:.0f} ns "
+        print(f"  {binary}/{name}: {base:.4g} -> {now:.4g} {unit} "
               f"({abs(delta_pct):.1f}% {direction})")
 
     produced = {(binary, entry.get("name"))
